@@ -4,7 +4,6 @@ from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D, normalize_yaw, points_in_box, rotated_iou_bev
 from .pointcloud import (
     AugmentSpec,
-    Point,
     PointCloud,
     Range3D,
     SceneSpec,
@@ -14,7 +13,7 @@ from .pointcloud import (
     load_cloud,
     save_cloud,
 )
-from .pillars import BEVCanvas, GridConfig, Pillar, assign_pillars, augment_points, gather, scatter
+from .pillars import BEVCanvas, GridConfig, Pillar, assign_pillars, augment_points, scatter
 from .encoder import (
     EncoderGrads,
     EncoderParams,

@@ -16,13 +16,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .backbone import count_macs, count_params
-from .encoder import encode_pillar
 from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D
 from .head import load_head_output, write_detections
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
-from .pillars import assign_pillars, augment_points, scatter
-from .pipeline import StageTimes, fusion_discrepancy, network_forward, run_detect
+from .pillars import assign_pillars, scatter
+from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, run_detect
 from .pointcloud import SceneSpec, crop_to_range, generate_scene, load_cloud, save_cloud
 from .profiles import BUILTIN, flops_config, load_profile
 
@@ -91,21 +90,26 @@ def _load_params(path: str, profile):
     return params, mode
 
 
-def cmd_generate(args) -> int:
-    profile = load_profile(args.profile)
+def _scene_spec(profile, n_objects: int, points_per_object: int, n_background: int) -> SceneSpec:
+    """Scene over the profile's range, with object sizes scaled to its extent."""
     r = profile.grid.range
     extent = min(r.x_max - r.x_min, r.y_max - r.y_min)
     scale = min(1.0, extent / 40.0)  # shrink objects for small desk scenes
-    spec = SceneSpec(
+    return SceneSpec(
         range=r,
-        n_objects=args.objects,
-        points_per_object=args.points_per_object,
-        n_background=args.background,
+        n_objects=n_objects,
+        points_per_object=points_per_object,
+        n_background=n_background,
         length_range=(2.0 * scale, 5.0 * scale),
         width_range=(1.2 * scale, 2.4 * scale),
         height_range=(1.2 * scale, min(2.2 * scale, (r.z_max - r.z_min) * 0.8)),
         n_classes=profile.n_classes,
     )
+
+
+def cmd_generate(args) -> int:
+    profile = load_profile(args.profile)
+    spec = _scene_spec(profile, args.objects, args.points_per_object, args.background)
     cloud, boxes = generate_scene(spec, args.seed)
     save_cloud(cloud, args.out)
     write_boxes(boxes, str(args.out) + ".boxes.csv")
@@ -140,15 +144,13 @@ def cmd_pillarize(args) -> int:
 
 def cmd_encode(args) -> int:
     profile = load_profile(args.profile)
-    cloud = crop_to_range(load_cloud(args.cloud), profile.grid.range)
+    cloud = load_cloud(args.cloud)
     if args.checkpoint:
         params, _ = _load_params(args.checkpoint, profile)
     else:
         params = ckpt.new_params(profile.arch(), mode="identity")
-    pillars = assign_pillars(cloud, profile.grid)
     rows = []
-    for p in pillars:
-        feat = encode_pillar(augment_points(cloud, p, profile.grid), params.encoder, keep_intermediates=False).f
+    for p, feat in encode_pillars(cloud, params, profile):
         rows.append(
             {
                 "ix": p.ix,
@@ -224,17 +226,7 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
     for size in sizes:
-        r = profile.grid.range
-        extent = min(r.x_max - r.x_min, r.y_max - r.y_min)
-        scale = min(1.0, extent / 40.0)
-        spec = SceneSpec(
-            range=r,
-            n_objects=0,
-            n_background=size,
-            length_range=(2.0 * scale, 5.0 * scale),
-            width_range=(1.2 * scale, 2.4 * scale),
-            height_range=(1.2 * scale, min(2.2 * scale, (r.z_max - r.z_min) * 0.8)),
-        )
+        spec = _scene_spec(profile, n_objects=0, points_per_object=0, n_background=size)
         cloud, _ = generate_scene(spec, args.seed)
         samples = {k: [] for k in ("encode", "backbone", "head", "post")}
         for _ in range(args.repeats):
@@ -266,13 +258,7 @@ def cmd_train_step(args) -> int:
     else:
         params = ckpt.new_params(profile.arch(), mode="random", seed=args.seed)
     targets = render_gaussian_targets(boxes, profile.grid, profile.out_stride, profile.n_classes)
-    cropped = crop_to_range(cloud, profile.grid.range)
-    pillars = assign_pillars(cropped, profile.grid)
-    feats = [
-        encode_pillar(augment_points(cropped, p, profile.grid), params.encoder, keep_intermediates=False).f
-        for p in pillars
-    ]
-    canvas = scatter(zip(pillars, feats), profile.grid, dim=profile.encoder_dim)
+    canvas = scatter(encode_pillars(cloud, params, profile), profile.grid, dim=profile.encoder_dim)
     out = network_forward(canvas.data, params, profile)
 
     cls_loss, _ = focal_loss(out.heatmap, targets.heatmap)

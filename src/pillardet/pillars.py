@@ -156,8 +156,3 @@ def scatter(pillar_features, cfg: GridConfig, dim: int | None = None) -> BEVCanv
         data[0, :, pillar.iy, pillar.ix] = np.asarray(feat, dtype=np.float32)
         mask[pillar.iy, pillar.ix] = True
     return BEVCanvas(data, mask)
-
-
-def gather(canvas: BEVCanvas, pillars: list[Pillar]) -> np.ndarray:
-    """Read pillar feature vectors back off the canvas, shape (P, D)."""
-    return np.stack([canvas.data[0, :, p.iy, p.ix] for p in pillars]) if pillars else np.zeros((0, canvas.data.shape[1]), dtype=np.float32)

@@ -1,6 +1,10 @@
 """End-to-end orchestration: pillarize -> encode -> scatter -> backbone ->
 neck -> head -> decode -> rectify -> NMS, plus the fused/train equivalence
 probe and the target-to-head-output fixture bridge.
+
+An injected head output replaces everything before decode, so the cloud is
+neither pillarized nor encoded; ``detect`` still reads and checks the cloud
+and the checkpoint.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .head import (
 )
 from .losses import Targets
 from .nn import maxpool2
-from .pillars import assign_pillars, augment_points, scatter
+from .pillars import Pillar, assign_pillars, augment_points, scatter
 from .pointcloud import PointCloud, crop_to_range
 from .profiles import Profile
 
@@ -41,6 +45,15 @@ class StageTimes:
         return {"encode": self.encode, "backbone": self.backbone, "head": self.head, "post": self.post}
 
 
+def encode_pillars(cloud: PointCloud, params: PipelineParams, profile: Profile) -> list[tuple[Pillar, np.ndarray]]:
+    """crop -> assign -> augment -> encode: each pillar of the cropped cloud with its feature vector."""
+    cropped = crop_to_range(cloud, profile.grid.range)
+    return [
+        (p, encode_pillar(augment_points(cropped, p, profile.grid), params.encoder, keep_intermediates=False).f)
+        for p in assign_pillars(cropped, profile.grid)
+    ]
+
+
 def network_forward(canvas_data: np.ndarray, params: PipelineParams, profile: Profile) -> HeadOutput:
     """Dense path from the scattered canvas to head predictions."""
     x = canvas_data
@@ -48,6 +61,11 @@ def network_forward(canvas_data: np.ndarray, params: PipelineParams, profile: Pr
     while reduction > 1:
         x = maxpool2(x)
         reduction //= 2
+    return _dense_forward(x, params)
+
+
+def _dense_forward(x: np.ndarray, params: PipelineParams) -> HeadOutput:
+    """backbone -> neck -> head on a canvas already pooled to stage-1 resolution."""
     stages = backbone_forward(x, params.backbone)
     fused = neck_fuse(stages[2], stages[3], params.neck)
     return head_forward(fused, params.head)
@@ -60,31 +78,24 @@ def run_detect(
     inject_head: HeadOutput | None = None,
     times: StageTimes | None = None,
 ) -> list[Detection]:
-    """Full detection pass; an injected head output replaces the network's."""
+    """Full detection pass; an injected head output replaces the network's,
+    and then the cloud is not pillarized or encoded."""
     t = times or StageTimes()
 
-    t0 = time.perf_counter()
-    cropped = crop_to_range(cloud, profile.grid.range)
-    pillars = assign_pillars(cropped, profile.grid)
-    feats = [
-        encode_pillar(augment_points(cropped, p, profile.grid), params.encoder, keep_intermediates=False).f
-        for p in pillars
-    ]
-    canvas = scatter(zip(pillars, feats), profile.grid, dim=profile.encoder_dim)
-    t.encode = time.perf_counter() - t0
-
-    if not pillars and inject_head is None:
-        return []
-
-    t0 = time.perf_counter()
     if inject_head is None:
+        t0 = time.perf_counter()
+        features = encode_pillars(cloud, params, profile)
+        canvas = scatter(features, profile.grid, dim=profile.encoder_dim)
+        t.encode = time.perf_counter() - t0
+        if not features:
+            return []
+        t0 = time.perf_counter()
         head_out = network_forward(canvas.data, params, profile)
         t.backbone = time.perf_counter() - t0
-        t0 = time.perf_counter()
     else:
         head_out = inject_head
-        t.backbone = 0.0
 
+    t0 = time.perf_counter()
     dets = decode(
         head_out,
         profile.grid,
@@ -138,15 +149,10 @@ def fusion_discrepancy(
     cfg = backbone_config(arch, input_hw=(spatial, spatial))
     for _ in range(n_probes):
         x = rng.normal(0.0, 1.0, (1, cfg.in_channels, spatial, spatial)).astype(np.float32)
-        a = _forward_raw(x, params, arch)
-        b = _forward_raw(x, fused, arch)
+        a, b = (
+            np.concatenate([o.heatmap, o.offset, o.z, o.size, o.yaw, o.iou], axis=0)
+            for o in (_dense_forward(x, params), _dense_forward(x, fused))
+        )
         scale = max(float(np.max(np.abs(a))), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     return worst
-
-
-def _forward_raw(x: np.ndarray, params: PipelineParams, arch: ArchConfig) -> np.ndarray:
-    stages = backbone_forward(x, params.backbone)
-    fused_map = neck_fuse(stages[2], stages[3], params.neck)
-    out = head_forward(fused_map, params.head)
-    return np.concatenate([out.heatmap, out.offset, out.z, out.size, out.yaw, out.iou], axis=0)

@@ -60,19 +60,6 @@ class Range3D:
             raise ValidationError(f"range dict missing key {e}") from e
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-    z: float
-    r: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.r, self.t)):
-            raise ValidationError("point fields must be finite")
-
-
 class PointCloud:
     """Ordered point set backed by an immutable (N, 5) float64 array."""
 
@@ -89,11 +76,6 @@ class PointCloud:
         self._data = data
         self.declared_range = declared_range
 
-    @classmethod
-    def from_points(cls, points, declared_range: Range3D | None = None) -> "PointCloud":
-        rows = [(p.x, p.y, p.z, p.r, p.t) for p in points]
-        return cls(np.array(rows, dtype=np.float64).reshape(len(rows), RECORD_FIELDS), declared_range)
-
     @property
     def data(self) -> np.ndarray:
         return self._data
@@ -101,13 +83,6 @@ class PointCloud:
     @property
     def xyz(self) -> np.ndarray:
         return self._data[:, :3]
-
-    def point(self, i: int) -> Point:
-        x, y, z, r, t = self._data[i]
-        return Point(x, y, z, r, t)
-
-    def points(self) -> list[Point]:
-        return [self.point(i) for i in range(len(self))]
 
     def __len__(self) -> int:
         return self._data.shape[0]

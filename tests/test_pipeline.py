@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import pillardet.pipeline as pipeline
 from pillardet.checkpoint import fuse_params, new_params
+from pillardet.head import decode, nms, rectify_detections
 from pillardet.losses import render_gaussian_targets
 from pillardet.pipeline import (
     StageTimes,
@@ -135,6 +137,21 @@ class TestDetectPipeline:
             for got, want in ((d.box.l, b.l), (d.box.w, b.w), (d.box.h, b.h)):
                 assert math.isclose(got, want, rel_tol=1e-6)
             assert abs(d.box.yaw - b.yaw) < 1e-6 or abs(abs(d.box.yaw - b.yaw) - 2 * math.pi) < 1e-6
+
+    def test_injected_head_skips_front_end(self, monkeypatch):
+        cloud, boxes = desk_scene(seed=7)
+        params = new_params(DESK.arch(), mode="identity")
+        head = head_output_from_targets(render_gaussian_targets(boxes, DESK.grid, DESK.out_stride, DESK.n_classes))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("front end ran on the injected-head path")
+
+        for name in ("crop_to_range", "assign_pillars", "augment_points", "encode_pillar", "scatter"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        dets = run_detect(cloud, params, DESK, inject_head=head)
+        want = decode(head, DESK.grid, DESK.out_stride, k=DESK.max_detections, score_thresh=DESK.score_thresh)
+        want = nms(rectify_detections(want, DESK.rectify_alpha), DESK.nms_iou, class_agnostic=DESK.nms_class_agnostic)
+        assert dets and dets == want
 
 
 class TestFusionProbe:

@@ -7,7 +7,6 @@ from pillardet.errors import ValidationError
 from pillardet.geometry import Box3D, points_in_box
 from pillardet.pointcloud import (
     AugmentSpec,
-    Point,
     PointCloud,
     Range3D,
     SceneSpec,
@@ -43,7 +42,7 @@ class TestIO:
         p.write_bytes(np.array([[1.0, 2.0, 3.0, 0.5, 0.0]], dtype="<f4").tobytes())
         cloud = load_cloud(p)
         assert len(cloud) == 1
-        assert cloud.point(0) == Point(1.0, 2.0, 3.0, 0.5, 0.0)
+        assert np.array_equal(cloud.data[0], [1.0, 2.0, 3.0, 0.5, 0.0])
 
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -234,10 +233,6 @@ class TestSceneGen:
 
 
 class TestTypes:
-    def test_point_requires_finite(self):
-        with pytest.raises(ValidationError):
-            Point(float("inf"), 0.0, 0.0, 0.0)
-
     def test_range_requires_order(self):
         with pytest.raises(ValidationError):
             Range3D(1.0, -1.0, 0.0, 1.0, 0.0, 1.0)
