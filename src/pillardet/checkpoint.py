@@ -25,7 +25,7 @@ from .backbone import (
 )
 from .encoder import EncoderParams
 from .errors import ValidationError
-from .head import HeadParams, build_head
+from .head import HEAD_GROUPS, build_head, split_channels
 from .nn import BNParams, ConvParams, RepBlockParams
 from .pillars import AUGMENTED_DIM
 
@@ -80,7 +80,7 @@ class PipelineParams:
     encoder: EncoderParams
     backbone: BackboneParams
     neck: NeckParams
-    head: HeadParams
+    head: ConvParams
 
     @property
     def mode(self) -> str:
@@ -181,19 +181,23 @@ def params_to_tensors(params: PipelineParams) -> dict[str, np.ndarray]:
             _flatten_unit(f"backbone.s{s + 1}.b{b}.b", pair.b, out)
     for name in ("proj8", "proj16", "fuse"):
         _flatten_unit(f"neck.{name}", getattr(params.neck, name), out)
-    for name in ("hm", "offset", "z", "size", "yaw", "iou"):
-        _flatten_unit(f"head.{name}", getattr(params.head, name), out)
+    kernels, biases = split_channels(params.head.kernel), split_channels(params.head.bias)
+    for name, group, _ in HEAD_GROUPS:
+        out[f"head.{group}.kernel"] = kernels[name]
+        out[f"head.{group}.bias"] = biases[name]
     return out
 
 
 class _TensorReader:
+    """Hands out each named tensor once; what is never taken is left in ``tensors``."""
+
     def __init__(self, tensors: dict[str, np.ndarray], arch: ArchConfig):
-        self.tensors = tensors
+        self.tensors = dict(tensors)
         self.arch = arch
 
     def take(self, name: str) -> np.ndarray:
         try:
-            return self.tensors[name]
+            return self.tensors.pop(name)
         except KeyError:
             raise ValidationError(f"checkpoint is missing tensor {name!r}") from None
 
@@ -233,7 +237,16 @@ def params_from_tensors(tensors: dict[str, np.ndarray], arch: ArchConfig, mode: 
     neck = NeckParams(
         proj8=r.conv("neck.proj8", 1), proj16=r.conv("neck.proj16", 1), fuse=r.conv("neck.fuse", 1)
     )
-    head = HeadParams(**{n: r.conv(f"head.{n}", 1) for n in ("hm", "offset", "z", "size", "yaw", "iou")})
+    # the groups are concatenated into one conv, so a group of the wrong width would
+    # silently shift channels into its neighbours
+    groups = [r.conv(f"head.{group}", 1) for _, group, _ in HEAD_GROUPS]
+    for (_, group, width), g in zip(HEAD_GROUPS, groups):
+        want = (width or arch.n_classes, arch.neck_channels, 1, 1)
+        if g.kernel.shape != want:
+            raise ValidationError(f"checkpoint head group {group!r} has kernel {g.kernel.shape}, expected {want}")
+    head = ConvParams(np.concatenate([g.kernel for g in groups]), np.concatenate([g.bias for g in groups]))
+    if r.tensors:
+        raise ValidationError(f"checkpoint has tensor {min(r.tensors)!r}, which its architecture does not use")
     return PipelineParams(encoder=encoder, backbone=BackboneParams(stem, transitions, stages), neck=neck, head=head)
 
 

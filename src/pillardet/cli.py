@@ -18,7 +18,7 @@ from . import checkpoint as ckpt
 from .backbone import count_macs, count_params
 from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D
-from .head import load_head_output, write_detections
+from .head import decode_cell, load_head_output, write_detections
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
 from .pillars import assign_pillars, scatter
 from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, run_detect
@@ -263,24 +263,13 @@ def cmd_train_step(args) -> int:
 
     cls_loss, _ = focal_loss(out.heatmap, targets.heatmap)
     m = targets.mask
-    reg_loss, _ = reg_l1_loss(
-        np.concatenate([out.offset[:, m], out.z[:, m], out.size[:, m], out.yaw[:, m]], axis=0),
-        targets.reg[:, m],
-    )
+    reg_loss, _ = reg_l1_loss(out.reg[:, m], targets.reg[:, m])
     iou_loss, _ = iou_branch_loss(out.iou[:, m], targets.iou[:, m])
     # regression-branch box overlap term, on the decoded center cells
-    diou_vals = []
-    cell_x = profile.out_stride * profile.grid.pillar_x
-    cell_y = profile.out_stride * profile.grid.pillar_y
-    for (row, col, _cls), gt in zip(targets.centers, boxes):
-        pred = Box3D(
-            profile.grid.range.x_min + (col + 0.5 + out.offset[0, row, col]) * cell_x,
-            profile.grid.range.y_min + (row + 0.5 + out.offset[1, row, col]) * cell_y,
-            float(out.z[0, row, col]),
-            *(float(v) for v in np.exp(out.size[:, row, col])),
-            float(np.arctan2(out.yaw[0, row, col], out.yaw[1, row, col])),
-        )
-        diou_vals.append(diou_loss(pred, gt)[0])
+    diou_vals = [
+        diou_loss(decode_cell(out, profile.grid, profile.out_stride, row, col), gt)[0]
+        for (row, col, _cls), gt in zip(targets.centers, boxes)
+    ]
     diou_val = float(np.mean(diou_vals)) if diou_vals else 0.0
     total = total_loss(cls_loss, iou_loss, diou_val, reg_loss, profile.loss_weights)
     breakdown = {

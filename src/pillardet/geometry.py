@@ -164,9 +164,8 @@ def _corners_with_jac(box: Box3D):
     """BEV corners plus 2x5 jacobians w.r.t. (cx, cy, l, w, yaw)."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     out = []
-    for sx, sy in _CORNER_SIGNS:
+    for pos, (sx, sy) in zip(bev_corners(box), _CORNER_SIGNS):
         dx, dy = sx * box.l / 2.0, sy * box.w / 2.0
-        pos = np.array([box.cx + c * dx - s * dy, box.cy + s * dx + c * dy])
         jac = np.zeros((2, 5))
         jac[0, 0] = 1.0
         jac[1, 1] = 1.0

@@ -1,4 +1,8 @@
-"""Center-based detection head: peak decoding, score rectification, rotated NMS.
+"""Center-based detection head: one 1x1 prediction conv, peak decoding,
+score rectification, rotated NMS.
+
+The conv's output channels are the groups of ``HEAD_GROUPS`` in order; the
+output checks, npz keys and checkpoint tensor groups all derive from it.
 
 The head map lives at ``out_stride`` grid cells per head cell. Offsets are
 measured from the cell's geometric center, so a zero offset decodes to the
@@ -20,42 +24,62 @@ from .geometry import Box3D, normalize_yaw, rotated_iou_bev
 from .nn import ConvParams, conv2d
 from .pillars import GridConfig
 
-REG_CHANNELS = 8  # off_x, off_y, z, log l, log w, log h, sin yaw, cos yaw
 HEATMAP_CLAMP = 1e-4
+
+# Output channels of the head conv, in order: (HeadOutput field, checkpoint tensor
+# group, width). The heatmap has one channel per class; the groups between it and
+# the IoU channel are the box regression, stacked in this order in ``Targets.reg``.
+HEAD_GROUPS = (
+    ("heatmap", "hm", None),
+    ("offset", "offset", 2),
+    ("z", "z", 1),
+    ("size", "size", 3),
+    ("yaw", "yaw", 2),
+    ("iou", "iou", 1),
+)
+BOX_CHANNELS = sum(width for _, _, width in HEAD_GROUPS[1:])
+REG_CHANNELS = sum(width for _, _, width in HEAD_GROUPS[1:-1])
+
+
+def split_channels(x: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of each group of a (n_classes + BOX_CHANNELS, ...) stack in head-conv channel order."""
+    cuts = len(x) - BOX_CHANNELS + np.cumsum([0] + [width for _, _, width in HEAD_GROUPS[1:-1]])
+    return {name: part for (name, _, _), part in zip(HEAD_GROUPS, np.split(x, cuts))}
 
 
 @dataclass(frozen=True)
 class HeadOutput:
-    """Dense per-cell predictions; all channel groups share (h, w)."""
+    """Dense per-cell predictions: each group is (width, h, w), widths as in HEAD_GROUPS."""
 
-    heatmap: np.ndarray  # (classes, h, w), values in (0, 1)
-    offset: np.ndarray  # (2, h, w), from the cell center, in cells
-    z: np.ndarray  # (1, h, w), absolute center height
-    size: np.ndarray  # (3, h, w), log-scale (l, w, h)
-    yaw: np.ndarray  # (2, h, w), (sin, cos)
-    iou: np.ndarray  # (1, h, w), in [-1, 1]
+    heatmap: np.ndarray  # per class, values in (0, 1)
+    offset: np.ndarray  # from the cell center, in cells
+    z: np.ndarray  # absolute center height
+    size: np.ndarray  # log-scale (l, w, h)
+    yaw: np.ndarray  # (sin, cos)
+    iou: np.ndarray  # in [-1, 1]
 
     def __post_init__(self):
-        hw = np.asarray(self.heatmap).shape[1:]
-        for name, c in (("offset", 2), ("z", 1), ("size", 3), ("yaw", 2), ("iou", 1)):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (c, *hw):
-                raise ValidationError(f"head {name} must have shape ({c}, {hw[0]}, {hw[1]}), got {arr.shape}")
-            object.__setattr__(self, name, arr)
         hm = np.asarray(self.heatmap, dtype=np.float64)
         if hm.ndim != 3:
             raise ValidationError(f"heatmap must be (classes, h, w), got {hm.shape}")
         if np.any(hm <= 0.0) or np.any(hm >= 1.0):
             raise ValidationError("heatmap values must lie strictly in (0, 1)")
         object.__setattr__(self, "heatmap", hm)
+        for name, _, width in HEAD_GROUPS[1:]:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            want = (width, *hm.shape[1:])
+            if arr.shape != want:
+                raise ValidationError(f"head {name} must have shape {want}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
+
+    def channels(self) -> np.ndarray:
+        """Every group stacked in head-conv channel order; inverse of ``split_channels``."""
+        return np.concatenate([getattr(self, name) for name, _, _ in HEAD_GROUPS])
 
     @property
-    def n_classes(self) -> int:
-        return self.heatmap.shape[0]
-
-    @property
-    def hw(self) -> tuple[int, int]:
-        return self.heatmap.shape[1:]
+    def reg(self) -> np.ndarray:
+        """The (REG_CHANNELS, h, w) box regression channels, in ``Targets.reg`` order."""
+        return np.concatenate([getattr(self, name) for name, _, _ in HEAD_GROUPS[1:-1]])
 
 
 @dataclass(frozen=True)
@@ -111,21 +135,14 @@ def decode(
     scores = out.heatmap[cls_idx, rows, cols]
     order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
 
-    cell_x = out_stride * grid.pillar_x
-    cell_y = out_stride * grid.pillar_y
     dets = []
     for i in order:
         c, r, col = int(cls_idx[i]), int(rows[i]), int(cols[i])
-        cx = grid.range.x_min + (col + 0.5 + out.offset[0, r, col]) * cell_x
-        cy = grid.range.y_min + (r + 0.5 + out.offset[1, r, col]) * cell_y
-        cz = out.z[0, r, col]
-        l, w, h = np.exp(out.size[:, r, col])
-        yaw = math.atan2(out.yaw[0, r, col], out.yaw[1, r, col])
         iou_score = float(min(max((out.iou[0, r, col] + 1.0) / 2.0, 0.0), 1.0))
         cls_score = float(scores[i])
         dets.append(
             Detection(
-                box=Box3D(cx, cy, float(cz), float(l), float(w), float(h), normalize_yaw(yaw), c),
+                box=decode_cell(out, grid, out_stride, r, col, c),
                 class_id=c,
                 cls_score=cls_score,
                 iou_score=iou_score,
@@ -133,6 +150,15 @@ def decode(
             )
         )
     return dets
+
+
+def decode_cell(out: HeadOutput, grid: GridConfig, out_stride: int, row: int, col: int, class_id: int = 0) -> Box3D:
+    """The world-frame box the regression channels of one head cell encode."""
+    cx = grid.range.x_min + (col + 0.5 + out.offset[0, row, col]) * (out_stride * grid.pillar_x)
+    cy = grid.range.y_min + (row + 0.5 + out.offset[1, row, col]) * (out_stride * grid.pillar_y)
+    l, w, h = np.exp(out.size[:, row, col])
+    yaw = math.atan2(out.yaw[0, row, col], out.yaw[1, row, col])
+    return Box3D(cx, cy, float(out.z[0, row, col]), float(l), float(w), float(h), normalize_yaw(yaw), class_id)
 
 
 def rectify_score(cls_score: float, iou_score: float, alpha: float) -> float:
@@ -181,58 +207,33 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     return [dets[i] for i in kept]
 
 
-@dataclass(frozen=True)
-class HeadParams:
-    """1x1 prediction convs over the neck features, one per output group."""
-
-    hm: ConvParams
-    offset: ConvParams
-    z: ConvParams
-    size: ConvParams
-    yaw: ConvParams
-    iou: ConvParams
-
-
 # keeps the classification map near zero on empty input
 HEATMAP_BIAS = -4.595119850134589  # sigmoid(-4.5951..) ~= 0.01
 
 
-def build_head(neck_channels: int, n_classes: int, rng: np.random.Generator | None = None) -> HeadParams:
-    def conv(c_out, bias_fill=0.0):
-        if rng is None:
-            kern = np.zeros((c_out, neck_channels, 1, 1))
-        else:
-            kern = rng.normal(0.0, 1.0, (c_out, neck_channels, 1, 1)) / np.sqrt(neck_channels)
-        return ConvParams(kern, np.full(c_out, bias_fill))
-
-    return HeadParams(
-        hm=conv(n_classes, HEATMAP_BIAS),
-        offset=conv(2),
-        z=conv(1),
-        size=conv(3),
-        yaw=conv(2),
-        iou=conv(1),
-    )
+def build_head(neck_channels: int, n_classes: int, rng: np.random.Generator | None = None) -> ConvParams:
+    """The 1x1 prediction conv: n_classes + BOX_CHANNELS outputs over the neck features."""
+    c_out = n_classes + BOX_CHANNELS
+    if rng is None:
+        kern = np.zeros((c_out, neck_channels, 1, 1))
+    else:
+        kern = rng.normal(0.0, 1.0, (c_out, neck_channels, 1, 1)) / np.sqrt(neck_channels)
+    bias = np.zeros(c_out)
+    bias[:n_classes] = HEATMAP_BIAS
+    return ConvParams(kern, bias)
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
 
 
-def head_forward(features: np.ndarray, params: HeadParams) -> HeadOutput:
-    """Apply the prediction convs to a single-sample (1, C, h, w) feature map."""
-    def squeeze(arr):
-        return np.asarray(arr, dtype=np.float64)[0]
-
-    hm = np.clip(_sigmoid(squeeze(conv2d(features, params.hm))), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
-    return HeadOutput(
-        heatmap=hm,
-        offset=squeeze(conv2d(features, params.offset)),
-        z=squeeze(conv2d(features, params.z)),
-        size=squeeze(conv2d(features, params.size)),
-        yaw=squeeze(conv2d(features, params.yaw)),
-        iou=np.tanh(squeeze(conv2d(features, params.iou))),
-    )
+def head_forward(features: np.ndarray, params: ConvParams) -> HeadOutput:
+    """Apply the prediction conv to a single-sample (1, C, h, w) feature map."""
+    # float32 views; HeadOutput copies each group to float64, so no output keeps the whole stack alive
+    groups = split_channels(conv2d(features, params)[0])
+    groups["heatmap"] = np.clip(_sigmoid(groups["heatmap"]), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
+    groups["iou"] = np.tanh(groups["iou"], dtype=np.float64)
+    return HeadOutput(**groups)
 
 
 DETECTION_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw", "class", "cls_score", "iou_score", "final_score")
@@ -271,12 +272,12 @@ def read_detections(path) -> list[Detection]:
 
 
 def save_head_output(out: HeadOutput, path) -> None:
-    np.savez(path, heatmap=out.heatmap, offset=out.offset, z=out.z, size=out.size, yaw=out.yaw, iou=out.iou)
+    np.savez(path, **{name: getattr(out, name) for name, _, _ in HEAD_GROUPS})
 
 
 def load_head_output(path) -> HeadOutput:
     try:
         with np.load(path) as data:
-            return HeadOutput(**{k: data[k] for k in ("heatmap", "offset", "z", "size", "yaw", "iou")})
+            return HeadOutput(**{name: data[name] for name, _, _ in HEAD_GROUPS})
     except (OSError, KeyError, ValueError) as e:
         raise ValidationError(f"cannot load head output from {path}: {e}") from e

@@ -26,6 +26,7 @@ from .head import (
     head_forward,
     nms,
     rectify_detections,
+    split_channels,
 )
 from .losses import Targets
 from .nn import maxpool2
@@ -119,14 +120,7 @@ def head_output_from_targets(targets: Targets) -> HeadOutput:
     quality targets 2*(I - 0.5) pass through as the raw IoU channel.
     """
     heatmap = np.clip(targets.heatmap, HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
-    return HeadOutput(
-        heatmap=heatmap,
-        offset=targets.reg[0:2],
-        z=targets.reg[2:3],
-        size=targets.reg[3:6],
-        yaw=targets.reg[6:8],
-        iou=2.0 * targets.iou - 1.0,
-    )
+    return HeadOutput(**split_channels(np.concatenate([heatmap, targets.reg, 2.0 * targets.iou - 1.0])))
 
 
 def fusion_discrepancy(
@@ -149,10 +143,7 @@ def fusion_discrepancy(
     cfg = backbone_config(arch, input_hw=(spatial, spatial))
     for _ in range(n_probes):
         x = rng.normal(0.0, 1.0, (1, cfg.in_channels, spatial, spatial)).astype(np.float32)
-        a, b = (
-            np.concatenate([o.heatmap, o.offset, o.z, o.size, o.yaw, o.iou], axis=0)
-            for o in (_dense_forward(x, params), _dense_forward(x, fused))
-        )
+        a, b = (_dense_forward(x, p).channels() for p in (params, fused))
         scale = max(float(np.max(np.abs(a))), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     return worst

@@ -8,10 +8,12 @@ from pillardet.checkpoint import (
     load_checkpoint,
     load_tensors,
     new_params,
+    params_to_tensors,
     save_checkpoint,
     save_tensors,
 )
 from pillardet.errors import ValidationError
+from pillardet.head import HEAD_GROUPS
 from pillardet.profiles import DESK
 
 
@@ -112,4 +114,50 @@ class TestCheckpoints:
         p = tmp_path / "weird.json"
         save_tensors(p, params_to_tensors(params), {"mode": "quantized", "arch": arch.as_dict()})
         with pytest.raises(ValidationError, match="mode"):
+            load_checkpoint(p)
+
+    def test_unused_tensor_rejected(self, tmp_path):
+        arch = DESK.arch()
+        tensors = params_to_tensors(new_params(arch, mode="random", seed=7))
+        short = dict(arch.as_dict(), stage_blocks=[1, 1, 1, 0])
+        p = tmp_path / "truncated.json"
+        save_tensors(p, tensors, {"mode": "train", "arch": short})
+        with pytest.raises(ValidationError, match="backbone.s4.b0"):
+            load_checkpoint(p)
+
+
+class TestHeadTensors:
+    def test_head_saved_as_named_groups(self):
+        arch = DESK.arch()
+        params = new_params(arch, mode="random", seed=8)
+        tensors = params_to_tensors(params)
+        start = 0
+        for _, group, width in HEAD_GROUPS:
+            width = width or arch.n_classes
+            assert tensors[f"head.{group}.kernel"].shape == (width, arch.neck_channels, 1, 1)
+            assert tensors[f"head.{group}.bias"].shape == (width,)
+            np.testing.assert_array_equal(tensors[f"head.{group}.kernel"], params.head.kernel[start : start + width])
+            start += width
+        assert start == params.head.out_channels
+
+    def test_head_roundtrip(self, tmp_path):
+        arch = DESK.arch()
+        params = new_params(arch, mode="random", seed=9)
+        p = tmp_path / "ckpt.json"
+        save_checkpoint(p, params, arch)
+        loaded, _, _ = load_checkpoint(p)
+        np.testing.assert_array_equal(loaded.head.kernel, params.head.kernel)
+        np.testing.assert_array_equal(loaded.head.bias, params.head.bias)
+
+    def test_head_group_of_wrong_width_rejected(self, tmp_path):
+        # size loses a channel to yaw: the total width still matches the arch
+        arch = DESK.arch()
+        tensors = params_to_tensors(new_params(arch, mode="random", seed=10))
+        for f in ("kernel", "bias"):
+            size, yaw = tensors[f"head.size.{f}"], tensors[f"head.yaw.{f}"]
+            tensors[f"head.size.{f}"] = size[:2]
+            tensors[f"head.yaw.{f}"] = np.concatenate([size[2:], yaw])
+        p = tmp_path / "shifted.json"
+        save_tensors(p, tensors, {"mode": "train", "arch": arch.as_dict()})
+        with pytest.raises(ValidationError, match="head group 'size'"):
             load_checkpoint(p)

@@ -1,14 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillardet.errors import ValidationError
-from pillardet.geometry import Box3D, bev_corners, rotated_iou_bev
+from pillardet.geometry import Box3D, bev_corners, iou_bev_with_grad, rotated_iou_bev
 from pillardet.head import (
+    HEAD_GROUPS,
+    HEATMAP_CLAMP,
     Detection,
     HeadOutput,
+    build_head,
     decode,
+    head_forward,
     head_map_hw,
     nms,
     read_detections,
@@ -16,6 +23,7 @@ from pillardet.head import (
     rectify_score,
     write_detections,
 )
+from pillardet.nn import ConvParams, conv2d
 from pillardet.pillars import GridConfig
 from pillardet.pointcloud import Range3D
 
@@ -93,6 +101,36 @@ class TestDecode:
         fields["heatmap"][0, 0, 0] = 1.0
         with pytest.raises(ValidationError):
             HeadOutput(**fields)
+
+
+class TestHeadConv:
+    def test_layout_names_the_output_fields(self):
+        assert [name for name, _, _ in HEAD_GROUPS] == [f.name for f in dataclasses.fields(HeadOutput)]
+
+    def test_one_conv_matches_per_group_convs(self):
+        rng = np.random.default_rng(0)
+        n_classes, neck = 3, 16
+        params = build_head(neck, n_classes, rng)
+        features = rng.normal(size=(1, neck, 6, 5)).astype(np.float32)
+        out = head_forward(features, params)
+        start = 0
+        for name, _, width in HEAD_GROUPS:
+            width = width or n_classes
+            group = ConvParams(params.kernel[start : start + width], params.bias[start : start + width])
+            want = np.asarray(conv2d(features, group), dtype=np.float64)[0]
+            if name == "heatmap":
+                want = np.clip(1.0 / (1.0 + np.exp(-want)), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
+            elif name == "iou":
+                want = np.tanh(want)
+            np.testing.assert_allclose(getattr(out, name), want, rtol=1e-5, atol=1e-6)
+            start += width
+        assert start == params.out_channels
+
+    def test_empty_features_give_heatmap_bias(self):
+        params = build_head(8, 2, np.random.default_rng(1))
+        out = head_forward(np.zeros((1, 8, 3, 3), dtype=np.float32), params)
+        np.testing.assert_allclose(out.heatmap, 0.01, rtol=1e-6)
+        assert not out.offset.any() and not out.iou.any()
 
 
 class TestRectify:
@@ -215,6 +253,24 @@ class TestRotatedIoU:
         a = Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0)
         b = Box3D(1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 0.0)
         assert rotated_iou_bev(a, b) == pytest.approx(1.0 / 7.0, abs=1e-12)
+
+
+box_strategy = st.builds(
+    Box3D,
+    cx=st.floats(-2.0, 2.0),
+    cy=st.floats(-2.0, 2.0),
+    cz=st.just(0.0),
+    l=st.floats(0.1, 4.0),
+    w=st.floats(0.1, 4.0),
+    h=st.just(1.0),
+    yaw=st.floats(-math.pi, math.pi),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(box_strategy, box_strategy)
+def test_iou_with_grad_matches_rotated_iou(a, b):
+    assert iou_bev_with_grad(a, b)[0] == pytest.approx(rotated_iou_bev(a, b), abs=1e-12)
 
 
 def naive_nms(dets, iou_thresh, class_agnostic):
