@@ -86,36 +86,49 @@ class BackboneParams:
 
     @property
     def mode(self) -> str:
-        units = self._units()
+        units = [u for _, u in self.named_units()]
         if all(isinstance(u, RepBlockParams) for u in units):
             return "train"
         if all(isinstance(u, ConvParams) for u in units):
             return "fused"
         raise ValidationError("backbone mixes train-time and fused units")
 
-    def _units(self):
-        units = [self.stem, *self.transitions]
-        for blocks in self.stages:
-            for pair in blocks:
-                units.extend((pair.a, pair.b))
-        return units
+    def named_units(self):
+        """Every unit with its name, in the order and naming of ``make_backbone``."""
+        yield "stem", self.stem
+        for i, t in enumerate(self.transitions):
+            yield f"t{i + 2}", t
+        for i, blocks in enumerate(self.stages):
+            for b, pair in enumerate(blocks):
+                yield f"s{i + 1}.b{b}.a", pair.a
+                yield f"s{i + 1}.b{b}.b", pair.b
+
+
+def make_backbone(cfg: BackboneConfig, unit) -> BackboneParams:
+    """Builds every unit, in forward order, as ``unit(name, c_in, c_out, stride)``:
+    the stem maps the input width to stage 1, the transition ``t{i}`` opens stage
+    i at stride 2, and the pair ``s{i}.b{j}.{a,b}`` keeps the stage width."""
+    ch = cfg.stage_channels
+    stem = unit("stem", cfg.in_channels, ch[0], 1)
+    transitions = [unit(f"t{i + 1}", ch[i - 1], ch[i], 2) for i in range(1, N_STAGES)]
+    stages = [
+        [
+            RepPair(unit(f"s{i + 1}.b{b}.a", ch[i], ch[i], 1), unit(f"s{i + 1}.b{b}.b", ch[i], ch[i], 1))
+            for b in range(cfg.stage_blocks[i])
+        ]
+        for i in range(N_STAGES)
+    ]
+    return BackboneParams(stem=stem, transitions=transitions, stages=stages)
 
 
 def build_backbone(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> BackboneParams:
     """Train-mode parameters; random when an rng is given, passthrough otherwise."""
-    def unit(c_in, c_out, stride):
+    def unit(_name, c_in, c_out, stride):
         if rng is None:
             return passthrough_rep_block(c_in, c_out, stride)
         return random_rep_block(rng, c_in, c_out, stride)
 
-    ch = cfg.stage_channels
-    stem = unit(cfg.in_channels, ch[0], 1)
-    transitions = [unit(ch[i - 1], ch[i], 2) for i in range(1, N_STAGES)]
-    stages = [
-        [RepPair(unit(ch[i], ch[i], 1), unit(ch[i], ch[i], 1)) for _ in range(cfg.stage_blocks[i])]
-        for i in range(N_STAGES)
-    ]
-    return BackboneParams(stem=stem, transitions=transitions, stages=stages)
+    return make_backbone(cfg, unit)
 
 
 def fuse_backbone(params: BackboneParams) -> BackboneParams:
@@ -153,6 +166,12 @@ class NeckParams:
     fuse: ConvParams
 
 
+def neck_convs(c8: int, c16: int, out_channels: int) -> dict[str, tuple[int, int, int]]:
+    """(c_in, c_out, k) of each ``NeckParams`` conv, in field order."""
+    half = out_channels // 2 or out_channels
+    return {"proj8": (c8, half, 1), "proj16": (c16, half, 1), "fuse": (2 * half, out_channels, 3)}
+
+
 def build_neck(c8: int, c16: int, out_channels: int, rng: np.random.Generator | None = None) -> NeckParams:
     def conv(c_in, c_out, k):
         if rng is None:
@@ -163,12 +182,7 @@ def build_neck(c8: int, c16: int, out_channels: int, rng: np.random.Generator | 
         bias = np.zeros(c_out) if rng is None else rng.normal(0.0, 0.05, c_out)
         return ConvParams(kern, bias)
 
-    half = out_channels // 2 or out_channels
-    return NeckParams(
-        proj8=conv(c8, half, 1),
-        proj16=conv(c16, half, 1),
-        fuse=conv(2 * half, out_channels, 3),
-    )
+    return NeckParams(**{name: conv(*spec) for name, spec in neck_convs(c8, c16, out_channels).items()})
 
 
 def neck_fuse(f8: np.ndarray, f16: np.ndarray, neck: NeckParams) -> np.ndarray:
@@ -255,16 +269,6 @@ class ParamReport:
     per_block: tuple[int, int, int, int]
     transition_params: tuple[int, int, int, int]  # stem first
     total: int
-
-    def as_dict(self) -> dict:
-        return {
-            "stage_blocks": list(self.stage_blocks),
-            "stage_channels": list(self.stage_channels),
-            "in_channels": self.in_channels,
-            "per_block_params": list(self.per_block),
-            "transition_params": list(self.transition_params),
-            "total_params": self.total,
-        }
 
 
 def count_params(cfg: BackboneConfig) -> ParamReport:

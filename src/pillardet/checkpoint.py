@@ -1,15 +1,15 @@
 """Parameter checkpoints: flat float32 blobs plus a JSON manifest.
 
 The manifest records tensor names, shapes, and byte offsets into a sibling
-``.bin`` blob, along with the architecture needed to rebuild typed parameter
-objects. Train-mode checkpoints hold the three-branch units; fused
-checkpoints hold their single-conv equivalents.
+``.bin`` blob, along with the architecture that shapes every tensor. Train-mode
+checkpoints hold the three-branch units; fused checkpoints hold their
+single-conv equivalents.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,60 +18,57 @@ from .backbone import (
     BackboneConfig,
     BackboneParams,
     NeckParams,
-    RepPair,
     build_backbone,
     build_neck,
     fuse_backbone,
+    make_backbone,
+    neck_convs,
 )
 from .encoder import EncoderParams
 from .errors import ValidationError
 from .head import HEAD_GROUPS, build_head, split_channels
-from .nn import BNParams, ConvParams, RepBlockParams
+from .nn import BNParams, ConvParams, RepBlockParams, has_identity
 from .pillars import AUGMENTED_DIM
 
 FORMAT = "pillardet-checkpoint"
 VERSION = 1
 
+# arch keys that older manifests wrote, each only ever with the value every checkpoint now assumes
+_FIXED_ARCH_KEYS = {"in_dim": AUGMENTED_DIM, "bn_eps": BNParams.eps, "norm_eps": EncoderParams.norm_eps}
+
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Everything needed to rebuild typed parameters from named tensors."""
+    """The shape of the network: every checkpoint tensor is read at the shape this gives it."""
 
     encoder_dim: int
     stage_blocks: tuple[int, int, int, int]
     stage_channels: tuple[int, int, int, int]
     neck_channels: int
     n_classes: int
-    in_dim: int = AUGMENTED_DIM
-    bn_eps: float = 1e-5
-    norm_eps: float = 1e-5
+
+    def __post_init__(self):
+        backbone_config(self)  # the backbone checks the blocks, the widths and the encoder width
+        if self.neck_channels < 1 or self.n_classes < 1:
+            raise ValidationError("neck_channels and n_classes must be >= 1")
 
     def as_dict(self) -> dict:
-        return {
-            "encoder_dim": self.encoder_dim,
-            "stage_blocks": list(self.stage_blocks),
-            "stage_channels": list(self.stage_channels),
-            "neck_channels": self.neck_channels,
-            "n_classes": self.n_classes,
-            "in_dim": self.in_dim,
-            "bn_eps": self.bn_eps,
-            "norm_eps": self.norm_eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
         try:
+            for key, value in _FIXED_ARCH_KEYS.items():
+                if d.get(key, value) != value:
+                    raise ValidationError(f"{key} is {d[key]!r}, but only {value!r} is supported")
             return cls(
                 encoder_dim=int(d["encoder_dim"]),
                 stage_blocks=tuple(int(v) for v in d["stage_blocks"]),
                 stage_channels=tuple(int(v) for v in d["stage_channels"]),
                 neck_channels=int(d["neck_channels"]),
                 n_classes=int(d["n_classes"]),
-                in_dim=int(d["in_dim"]),
-                bn_eps=float(d["bn_eps"]),
-                norm_eps=float(d["norm_eps"]),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as e:
             raise ValidationError(f"bad architecture record in manifest: {e}") from e
 
 
@@ -92,37 +89,17 @@ def new_params(arch: ArchConfig, mode: str = "random", seed: int = 0) -> Pipelin
     if mode not in ("random", "identity"):
         raise ValidationError(f"unknown init mode {mode!r}")
     rng = np.random.default_rng(seed) if mode == "random" else None
-    cfg = backbone_config(arch)
     encoder = (
-        EncoderParams.random(np.random.default_rng(seed + 1), arch.encoder_dim, arch.in_dim)
+        EncoderParams.random(np.random.default_rng(seed + 1), arch.encoder_dim)
         if rng is not None
-        else _identity_encoder(arch)
+        else EncoderParams.identity(arch.encoder_dim)
     )
     ch = arch.stage_channels
     return PipelineParams(
         encoder=encoder,
-        backbone=build_backbone(cfg, rng),
+        backbone=build_backbone(backbone_config(arch), rng),
         neck=build_neck(ch[2], ch[3], arch.neck_channels, rng),
         head=build_head(arch.neck_channels, arch.n_classes, rng),
-    )
-
-
-def _identity_encoder(arch: ArchConfig) -> EncoderParams:
-    if arch.encoder_dim == arch.in_dim:
-        return EncoderParams.identity(arch.in_dim)
-    eye = np.zeros((arch.encoder_dim, arch.in_dim))
-    eye[np.arange(arch.encoder_dim), np.arange(arch.encoder_dim) % arch.in_dim] = 1.0
-    base = EncoderParams.identity(arch.encoder_dim)
-    return EncoderParams(
-        weight=eye,
-        bias=base.bias,
-        norm_gamma=base.norm_gamma,
-        norm_beta=base.norm_beta,
-        norm_mean=base.norm_mean,
-        norm_var=base.norm_var,
-        score_weight=base.score_weight,
-        score_bias=base.score_bias,
-        norm_eps=base.norm_eps,
     )
 
 
@@ -172,13 +149,8 @@ def params_to_tensors(params: PipelineParams) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for f in _ENCODER_FIELDS:
         out[f"encoder.{f}"] = getattr(params.encoder, f)
-    _flatten_unit("backbone.stem", params.backbone.stem, out)
-    for i, t in enumerate(params.backbone.transitions):
-        _flatten_unit(f"backbone.t{i + 2}", t, out)
-    for s, blocks in enumerate(params.backbone.stages):
-        for b, pair in enumerate(blocks):
-            _flatten_unit(f"backbone.s{s + 1}.b{b}.a", pair.a, out)
-            _flatten_unit(f"backbone.s{s + 1}.b{b}.b", pair.b, out)
+    for name, unit in params.backbone.named_units():
+        _flatten_unit(f"backbone.{name}", unit, out)
     for name in ("proj8", "proj16", "fuse"):
         _flatten_unit(f"neck.{name}", getattr(params.neck, name), out)
     kernels, biases = split_channels(params.head.kernel), split_channels(params.head.bias)
@@ -189,65 +161,60 @@ def params_to_tensors(params: PipelineParams) -> dict[str, np.ndarray]:
 
 
 class _TensorReader:
-    """Hands out each named tensor once; what is never taken is left in ``tensors``."""
+    """Hands out each named tensor once, at the shape the architecture gives it;
+    what is never taken is left in ``tensors``."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], arch: ArchConfig):
+    def __init__(self, tensors: dict[str, np.ndarray], mode: str):
         self.tensors = dict(tensors)
-        self.arch = arch
+        self.mode = mode
 
-    def take(self, name: str) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...], what: str = "tensor") -> np.ndarray:
         try:
-            return self.tensors.pop(name)
+            arr = self.tensors.pop(name)
         except KeyError:
             raise ValidationError(f"checkpoint is missing tensor {name!r}") from None
+        if arr.shape != shape:
+            raise ValidationError(f"checkpoint {what} {name!r} has shape {arr.shape}, expected {shape}")
+        return arr
 
-    def conv(self, name: str, stride: int) -> ConvParams:
-        return ConvParams(self.take(f"{name}.kernel"), self.take(f"{name}.bias"), stride=stride)
+    def conv(self, name: str, c_in: int, c_out: int, k: int, stride: int = 1, what: str = "tensor") -> ConvParams:
+        kernel = self.take(f"{name}.kernel", (c_out, c_in, k, k), what)
+        return ConvParams(kernel, self.take(f"{name}.bias", (c_out,), what), stride=stride)
 
-    def bn(self, name: str) -> BNParams:
-        return BNParams(*(self.take(f"{name}.{f}") for f in _BN_FIELDS), eps=self.arch.bn_eps)
+    def bn(self, name: str, channels: int) -> BNParams:
+        return BNParams(*(self.take(f"{name}.{f}", (channels,)) for f in _BN_FIELDS))
 
-    def unit(self, name: str, stride: int, mode: str):
-        if mode == "fused":
-            return self.conv(name, stride)
-        bn_id = self.bn(f"{name}.bn_id") if f"{name}.bn_id.gamma" in self.tensors else None
+    def unit(self, name: str, c_in: int, c_out: int, stride: int):
+        if self.mode == "fused":
+            return self.conv(name, c_in, c_out, 3, stride)
         return RepBlockParams(
-            conv3=self.conv(f"{name}.conv3", stride),
-            bn3=self.bn(f"{name}.bn3"),
-            conv1=self.conv(f"{name}.conv1", stride),
-            bn1=self.bn(f"{name}.bn1"),
-            bn_id=bn_id,
+            conv3=self.conv(f"{name}.conv3", c_in, c_out, 3, stride),
+            bn3=self.bn(f"{name}.bn3", c_out),
+            conv1=self.conv(f"{name}.conv1", c_in, c_out, 1, stride),
+            bn1=self.bn(f"{name}.bn1", c_out),
+            bn_id=self.bn(f"{name}.bn_id", c_out) if has_identity(c_in, c_out, stride) else None,
         )
 
 
 def params_from_tensors(tensors: dict[str, np.ndarray], arch: ArchConfig, mode: str) -> PipelineParams:
     if mode not in ("train", "fused"):
         raise ValidationError(f"unknown checkpoint mode {mode!r}")
-    r = _TensorReader(tensors, arch)
-    encoder = EncoderParams(*(r.take(f"encoder.{f}") for f in _ENCODER_FIELDS), norm_eps=arch.norm_eps)
-    stem = r.unit("backbone.stem", 1, mode)
-    transitions = [r.unit(f"backbone.t{i + 2}", 2, mode) for i in range(3)]
-    stages = [
-        [
-            RepPair(r.unit(f"backbone.s{s + 1}.b{b}.a", 1, mode), r.unit(f"backbone.s{s + 1}.b{b}.b", 1, mode))
-            for b in range(arch.stage_blocks[s])
-        ]
-        for s in range(4)
+    r = _TensorReader(tensors, mode)
+    d = arch.encoder_dim
+    matrices = {"weight": (d, AUGMENTED_DIM), "score_weight": (d, d)}
+    encoder = EncoderParams(*(r.take(f"encoder.{f}", matrices.get(f, (d,))) for f in _ENCODER_FIELDS))
+    backbone = make_backbone(backbone_config(arch), lambda name, *io: r.unit(f"backbone.{name}", *io))
+    ch = arch.stage_channels
+    neck_specs = neck_convs(ch[2], ch[3], arch.neck_channels)
+    neck = NeckParams(**{name: r.conv(f"neck.{name}", *spec) for name, spec in neck_specs.items()})
+    groups = [
+        r.conv(f"head.{group}", arch.neck_channels, width or arch.n_classes, 1, what=f"head group {group!r} tensor")
+        for _, group, width in HEAD_GROUPS
     ]
-    neck = NeckParams(
-        proj8=r.conv("neck.proj8", 1), proj16=r.conv("neck.proj16", 1), fuse=r.conv("neck.fuse", 1)
-    )
-    # the groups are concatenated into one conv, so a group of the wrong width would
-    # silently shift channels into its neighbours
-    groups = [r.conv(f"head.{group}", 1) for _, group, _ in HEAD_GROUPS]
-    for (_, group, width), g in zip(HEAD_GROUPS, groups):
-        want = (width or arch.n_classes, arch.neck_channels, 1, 1)
-        if g.kernel.shape != want:
-            raise ValidationError(f"checkpoint head group {group!r} has kernel {g.kernel.shape}, expected {want}")
     head = ConvParams(np.concatenate([g.kernel for g in groups]), np.concatenate([g.bias for g in groups]))
     if r.tensors:
         raise ValidationError(f"checkpoint has tensor {min(r.tensors)!r}, which its architecture does not use")
-    return PipelineParams(encoder=encoder, backbone=BackboneParams(stem, transitions, stages), neck=neck, head=head)
+    return PipelineParams(encoder=encoder, backbone=backbone, neck=neck, head=head)
 
 
 # --- blob + manifest container -------------------------------------------------------

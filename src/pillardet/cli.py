@@ -81,6 +81,13 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _load_params(path: str, profile):
     params, arch, mode = ckpt.load_checkpoint(path)
     if arch != profile.arch():
@@ -182,9 +189,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_flops(args) -> int:
     profile = load_profile(args.profile)
-    ratio_sets = [tuple(int(v) for v in r.split(",")) for r in args.ratios] if args.ratios else [
-        (0, 2, 2, 2), (2, 2, 2, 2), (4, 2, 2, 2), (6, 2, 2, 2), (3, 4, 6, 3), (6, 6, 3, 1),
-    ]
+    ratio_sets = args.ratios or [(0, 2, 2, 2), (2, 2, 2, 2), (4, 2, 2, 2), (6, 2, 2, 2), (3, 4, 6, 3), (6, 6, 3, 1)]
     rows = []
     for ratios in ratio_sets:
         if len(ratios) != 4:
@@ -221,11 +226,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     profile = load_profile(args.profile)
-    params = ckpt.new_params(profile.arch(), mode="random", seed=args.seed)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    # the deployed network: what detect runs on a fused checkpoint
+    params = ckpt.fuse_params(ckpt.new_params(profile.arch(), mode="random", seed=args.seed))
     rows = []
-    for size in sizes:
+    for size in args.sizes:
         spec = _scene_spec(profile, n_objects=0, points_per_object=0, n_background=size)
         cloud, _ = generate_scene(spec, args.seed)
         samples = {k: [] for k in ("encode", "backbone", "head", "post")}
@@ -295,8 +302,15 @@ def cmd_init(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pillardet", description=__doc__)
+    parser = _Parser(prog="pillardet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt=True):
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="analytic MAC/params table for block ratios")
     common(p)
-    p.add_argument("--ratios", action="append", default=None, metavar="B1,B2,B3,B4")
+    p.add_argument("--ratios", action="append", type=_int_list, default=None, metavar="B1,B2,B3,B4")
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("detect", help="run the full pipeline on a cloud")
@@ -350,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-stage wall-clock percentiles")
     common(p)
-    p.add_argument("--sizes", default="2000")
+    p.add_argument("--sizes", type=_int_list, default="2000")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 
@@ -372,9 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -61,19 +61,20 @@ class EncoderParams:
         return self.weight.shape[1]
 
     @classmethod
-    def identity(cls, dim: int = AUGMENTED_DIM) -> "EncoderParams":
-        """Unit affine with inactive normalization and zero score logits."""
-        eps = 1e-5
+    def identity(cls, dim: int = AUGMENTED_DIM, in_dim: int = AUGMENTED_DIM) -> "EncoderParams":
+        """Unit affine (input channels cycled where dim != in_dim) with inactive
+        normalization and zero score logits."""
+        weight = np.zeros((dim, in_dim))
+        weight[np.arange(dim), np.arange(dim) % in_dim] = 1.0
         return cls(
-            weight=np.eye(dim),
+            weight=weight,
             bias=np.zeros(dim),
             norm_gamma=np.ones(dim),
             norm_beta=np.zeros(dim),
             norm_mean=np.zeros(dim),
-            norm_var=np.full(dim, 1.0 - eps),
+            norm_var=np.full(dim, 1.0 - cls.norm_eps),
             score_weight=np.zeros((dim, dim)),
             score_bias=np.zeros(dim),
-            norm_eps=eps,
         )
 
     @classmethod

@@ -183,6 +183,11 @@ def pad_1x1_to_3x3(p: ConvParams) -> ConvParams:
     return ConvParams(kernel, p.bias, stride=p.stride)
 
 
+def has_identity(c_in: int, c_out: int, stride: int) -> bool:
+    """The one rule for where a rep unit carries an identity branch."""
+    return c_in == c_out and stride == 1
+
+
 def identity_to_3x3(channels: int) -> ConvParams:
     """Dirac kernel: conv with it reproduces the input exactly."""
     kernel = np.zeros((channels, channels, 3, 3), dtype=FLOAT)
@@ -213,7 +218,7 @@ class RepBlockParams:
         if self.bn3.channels != self.conv3.out_channels or self.bn1.channels != self.conv1.out_channels:
             raise ValidationError("rep unit BN widths must match branch outputs")
         if self.bn_id is not None:
-            if self.conv3.in_channels != self.conv3.out_channels or self.conv3.stride != 1:
+            if not has_identity(self.in_channels, self.out_channels, self.stride):
                 raise ValidationError("identity branch requires c_in == c_out and stride 1")
             if self.bn_id.channels != self.conv3.out_channels:
                 raise ValidationError("identity BN width must match the unit output")
@@ -270,7 +275,7 @@ def unit_forward(x: np.ndarray, unit) -> np.ndarray:
 def random_rep_block(
     rng: np.random.Generator, c_in: int, c_out: int, stride: int = 1, with_identity: bool | None = None
 ) -> RepBlockParams:
-    """Random unit with sane magnitudes; identity branch added where legal."""
+    """Random unit with sane magnitudes; identity branch added where ``has_identity`` allows."""
     def bn(c):
         return BNParams(
             gamma=rng.uniform(0.5, 1.5, c),
@@ -280,9 +285,7 @@ def random_rep_block(
         )
 
     if with_identity is None:
-        with_identity = c_in == c_out and stride == 1
-    if with_identity and (c_in != c_out or stride != 1):
-        raise ValidationError("identity branch requires c_in == c_out and stride 1")
+        with_identity = has_identity(c_in, c_out, stride)
     k3 = rng.normal(0.0, 1.0, (c_out, c_in, 3, 3)) / np.sqrt(9.0 * c_in)
     k1 = rng.normal(0.0, 1.0, (c_out, c_in, 1, 1)) / np.sqrt(c_in)
     return RepBlockParams(
@@ -297,18 +300,17 @@ def random_rep_block(
 def passthrough_rep_block(c_in: int, c_out: int, stride: int = 1) -> RepBlockParams:
     """Deterministic unit that forwards (rectified) input channels.
 
-    With c_in == c_out and stride 1 the fused kernel is the exact Dirac
+    Where ``has_identity`` holds the fused kernel is the exact Dirac
     identity; otherwise channels are cycled through a center-tap kernel.
     """
-    if c_in == c_out and stride == 1:
-        k3 = np.zeros((c_out, c_in, 3, 3))
-    else:
-        k3 = np.zeros((c_out, c_in, 3, 3))
+    identity = has_identity(c_in, c_out, stride)
+    k3 = np.zeros((c_out, c_in, 3, 3))
+    if not identity:
         k3[np.arange(c_out), np.arange(c_out) % c_in, 1, 1] = 1.0
     return RepBlockParams(
         conv3=ConvParams(k3, np.zeros(c_out), stride=stride),
         bn3=BNParams.neutral(c_out),
         conv1=ConvParams(np.zeros((c_out, c_in, 1, 1)), np.zeros(c_out), stride=stride),
         bn1=BNParams.neutral(c_out),
-        bn_id=BNParams.neutral(c_out) if (c_in == c_out and stride == 1) else None,
+        bn_id=BNParams.neutral(c_out) if identity else None,
     )

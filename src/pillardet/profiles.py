@@ -152,6 +152,13 @@ _PROFILE_KEYS = {
 }
 
 
+def _is_json(value, kind: type) -> bool:
+    """Whether a JSON value has a declared key type: a bool is no number, an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def profile_from_dict(d: dict) -> Profile:
     unknown = set(d) - set(_PROFILE_KEYS)
     if unknown:
@@ -159,6 +166,11 @@ def profile_from_dict(d: dict) -> Profile:
     missing = set(_PROFILE_KEYS) - set(d)
     if missing:
         raise ValidationError(f"profile is missing keys: {sorted(missing)}")
+    for key, kinds in _PROFILE_KEYS.items():
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        if not any(_is_json(d[key], kind) for kind in kinds):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise ValidationError(f"profile key {key!r} must be {names}, got {d[key]!r}")
     try:
         nms_iou = d["nms_iou"]
         alpha = d["rectify_alpha"]

@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillardet.checkpoint import (
+    ArchConfig,
     fuse_params,
     load_checkpoint,
     load_tensors,
@@ -161,3 +167,88 @@ class TestHeadTensors:
         save_tensors(p, tensors, {"mode": "train", "arch": arch.as_dict()})
         with pytest.raises(ValidationError, match="head group 'size'"):
             load_checkpoint(p)
+
+
+class TestArchShapes:
+    def test_wide_tensors_under_desk_manifest_rejected(self, tmp_path):
+        # stage widths doubled, neck and head as in desk: every head group still fits
+        arch = DESK.arch()
+        wide = ArchConfig(arch.encoder_dim, arch.stage_blocks, (16, 32, 64, 128), arch.neck_channels, arch.n_classes)
+        p = tmp_path / "wide.json"
+        save_tensors(p, params_to_tensors(new_params(wide, seed=11)), {"mode": "train", "arch": arch.as_dict()})
+        with pytest.raises(ValidationError, match=r"'backbone\.stem\.conv3\.kernel' has shape \(16, 8, 3, 3\)"):
+            load_checkpoint(p)
+
+    def test_missing_identity_branch_rejected(self, tmp_path):
+        arch = DESK.arch()
+        tensors = params_to_tensors(new_params(arch, seed=12))
+        for f in ("gamma", "beta", "mean", "var"):
+            del tensors[f"backbone.s1.b0.a.bn_id.{f}"]
+        p = tmp_path / "no_id.json"
+        save_tensors(p, tensors, {"mode": "train", "arch": arch.as_dict()})
+        with pytest.raises(ValidationError, match=r"missing tensor 'backbone\.s1\.b0\.a\.bn_id\.gamma'"):
+            load_checkpoint(p)
+
+    def test_identity_branch_on_a_transition_rejected(self, tmp_path):
+        arch = DESK.arch()
+        tensors = params_to_tensors(new_params(arch, seed=13))
+        for f in ("gamma", "beta", "mean", "var"):
+            tensors[f"backbone.t2.bn_id.{f}"] = tensors[f"backbone.t2.bn3.{f}"]
+        p = tmp_path / "t2_id.json"
+        save_tensors(p, tensors, {"mode": "train", "arch": arch.as_dict()})
+        with pytest.raises(ValidationError, match=r"backbone\.t2\.bn_id"):
+            load_checkpoint(p)
+
+    def test_arch_record_validates_itself(self):
+        arch = DESK.arch()
+        for bad in ({"stage_blocks": (1, 1, 1)}, {"stage_channels": (8, 16, 32, 32)}, {"neck_channels": 0},
+                    {"n_classes": 0}, {"encoder_dim": 0}):
+            with pytest.raises(ValidationError):
+                dataclasses.replace(arch, **bad)
+
+    def test_manifest_records_five_arch_keys(self, tmp_path):
+        arch = DESK.arch()
+        p = tmp_path / "ckpt.json"
+        save_checkpoint(p, new_params(arch, seed=14), arch)
+        assert set(json.loads(p.read_text())["meta"]["arch"]) == {
+            "encoder_dim", "stage_blocks", "stage_channels", "neck_channels", "n_classes",
+        }
+
+    def test_fixed_keys_of_older_manifests(self, tmp_path):
+        arch = DESK.arch()
+        tensors = params_to_tensors(new_params(arch, seed=15))
+        old = dict(arch.as_dict(), in_dim=11, bn_eps=1e-5, norm_eps=1e-5)
+        p = tmp_path / "old.json"
+        save_tensors(p, tensors, {"mode": "train", "arch": old})
+        assert load_checkpoint(p)[1] == arch
+        save_tensors(p, tensors, {"mode": "train", "arch": dict(old, bn_eps=1e-3)})
+        with pytest.raises(ValidationError, match="bn_eps"):
+            load_checkpoint(p)
+
+
+small_archs = st.builds(
+    lambda encoder_dim, blocks, base, neck, n_classes: ArchConfig(
+        encoder_dim, blocks, (base, 2 * base, 4 * base, 8 * base), neck, n_classes
+    ),
+    st.integers(1, 4),
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(small_archs, st.sampled_from(["train", "fused"]), st.integers(0, 2**16))
+def test_small_arch_roundtrip_is_bitwise(arch, mode, seed):
+    params = new_params(arch, seed=seed)
+    if mode == "fused":
+        params = fuse_params(params)
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(Path(d) / "ckpt.json", params, arch)
+        loaded, loaded_arch, loaded_mode = load_checkpoint(Path(d) / "ckpt.json")
+    assert (loaded_arch, loaded_mode) == (arch, mode)
+    want, got = params_to_tensors(params), params_to_tensors(loaded)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        np.testing.assert_array_equal(np.asarray(got[name], dtype="<f4"), np.asarray(arr, dtype="<f4"), err_msg=name)

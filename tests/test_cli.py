@@ -207,3 +207,33 @@ class TestBoxRecords:
         p = tmp_path / "boxes.csv"
         write_boxes(boxes, p)
         assert read_boxes(p) == boxes
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["flops", "--ratios", "1,x,2,2"],
+        ["bench", "--sizes", "5,x"],
+        ["bench", "--repeats", "0"],
+        ["detect", "--checkpoint", "c.json", "--out", "d.csv"],
+    ], ids=["bad-ratio", "bad-size", "zero-repeats", "missing-cloud"])
+    def test_one_error_line_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_truncated_stage_blocks_manifest_exit_one(self, scene, train_ckpt, tmp_path, capsys):
+        manifest = json.loads(train_ckpt.read_text())
+        manifest["meta"]["arch"]["stage_blocks"] = [1, 1, 1]
+        train_ckpt.write_text(json.dumps(manifest))
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene),
+                     "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "d.csv")]) == 1
+        assert "stage_blocks" in capsys.readouterr().err
+
+
+def test_bench_times_the_fused_network(monkeypatch):
+    import pillardet.cli as cli
+
+    modes = []
+    monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, times: modes.append(params.mode))
+    assert main(["bench", "--profile", "desk", "--sizes", "50", "--repeats", "2"]) == 0
+    assert modes == ["fused", "fused"]

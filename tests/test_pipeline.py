@@ -31,6 +31,25 @@ def desk_scene(seed=0, n_objects=3):
     return generate_scene(spec, seed)
 
 
+DESK_PROFILE_JSON = {
+    "name": "desk-file",
+    "range": DESK.grid.range.as_dict(),
+    "pillar_size": [0.2, 0.2],
+    "n_classes": 3,
+    "encoder_dim": 8,
+    "stage_blocks": [1, 1, 1, 1],
+    "stage_channels": [8, 16, 32, 64],
+    "neck_channels": 16,
+    "canvas_reduction": 2,
+    "score_thresh": 0.3,
+    "max_detections": 50,
+    "nms_iou": [0.5, 0.5, 0.5],
+    "nms_class_agnostic": False,
+    "rectify_alpha": 0.5,
+    "loss_weights": [1.0, 1.0, 0.25],
+}
+
+
 class TestProfiles:
     def test_waymo_constants(self):
         assert (WAYMO.grid.range.x_min, WAYMO.grid.range.x_max) == (-75.2, 75.2)
@@ -92,6 +111,26 @@ class TestProfiles:
         p.write_text(json.dumps({"name": "x", "bogus": 1}))
         with pytest.raises(ValidationError, match="unknown profile keys|missing keys"):
             load_profile(str(p))
+
+    @pytest.mark.parametrize("key,value,ok", [
+        ("nms_class_agnostic", "false", False),
+        ("canvas_reduction", 2.7, False),
+        ("max_detections", True, False),
+        ("score_thresh", 1, True),
+        ("nms_iou", 1, True),
+    ])
+    def test_profile_values_checked_against_declared_types(self, tmp_path, key, value, ok):
+        import json
+
+        from pillardet.errors import ValidationError
+
+        p = tmp_path / "profile.json"
+        p.write_text(json.dumps(dict(DESK_PROFILE_JSON, **{key: value})))
+        if ok:
+            assert load_profile(str(p)).name == "desk-file"
+        else:
+            with pytest.raises(ValidationError, match=key):
+                load_profile(str(p))
 
 
 class TestDetectPipeline:
