@@ -93,32 +93,36 @@ class BackboneParams:
             return "fused"
         raise ValidationError("backbone mixes train-time and fused units")
 
-    def named_units(self):
-        """Every unit with its name, in the order and naming of ``make_backbone``."""
-        yield "stem", self.stem
-        for i, t in enumerate(self.transitions):
-            yield f"t{i + 2}", t
-        for i, blocks in enumerate(self.stages):
-            for b, pair in enumerate(blocks):
-                yield f"s{i + 1}.b{b}.a", pair.a
-                yield f"s{i + 1}.b{b}.b", pair.b
+    def map_units(self, fn) -> "BackboneParams":
+        """Replaces every unit with ``fn(name, unit)``, called in the order stem,
+        transitions ``t{i}`` (stages 2-4), stage pairs ``s{i}.b{j}.{a,b}``: the one
+        place units are named and ordered."""
+        return BackboneParams(
+            stem=fn("stem", self.stem),
+            transitions=[fn(f"t{i + 2}", t) for i, t in enumerate(self.transitions)],
+            stages=[
+                [RepPair(fn(f"s{i + 1}.b{b}.a", p.a), fn(f"s{i + 1}.b{b}.b", p.b)) for b, p in enumerate(blocks)]
+                for i, blocks in enumerate(self.stages)
+            ],
+        )
+
+    def named_units(self) -> list:
+        named = []
+        self.map_units(lambda name, u: named.append((name, u)))
+        return named
 
 
 def make_backbone(cfg: BackboneConfig, unit) -> BackboneParams:
-    """Builds every unit, in forward order, as ``unit(name, c_in, c_out, stride)``:
-    the stem maps the input width to stage 1, the transition ``t{i}`` opens stage
-    i at stride 2, and the pair ``s{i}.b{j}.{a,b}`` keeps the stage width."""
+    """Builds every unit, in ``map_units`` order, as ``unit(name, c_in, c_out, stride)``:
+    the stem maps the input width to stage 1, each transition opens its stage at
+    stride 2, and the stage pairs keep the stage width."""
     ch = cfg.stage_channels
-    stem = unit("stem", cfg.in_channels, ch[0], 1)
-    transitions = [unit(f"t{i + 1}", ch[i - 1], ch[i], 2) for i in range(1, N_STAGES)]
-    stages = [
-        [
-            RepPair(unit(f"s{i + 1}.b{b}.a", ch[i], ch[i], 1), unit(f"s{i + 1}.b{b}.b", ch[i], ch[i], 1))
-            for b in range(cfg.stage_blocks[i])
-        ]
-        for i in range(N_STAGES)
-    ]
-    return BackboneParams(stem=stem, transitions=transitions, stages=stages)
+    shapes = BackboneParams(
+        stem=(cfg.in_channels, ch[0], 1),
+        transitions=[(ch[i - 1], ch[i], 2) for i in range(1, N_STAGES)],
+        stages=[[RepPair((c, c, 1), (c, c, 1))] * n for c, n in zip(ch, cfg.stage_blocks)],
+    )
+    return shapes.map_units(lambda name, io: unit(name, *io))
 
 
 def build_backbone(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> BackboneParams:
@@ -133,14 +137,7 @@ def build_backbone(cfg: BackboneConfig, rng: np.random.Generator | None = None) 
 
 def fuse_backbone(params: BackboneParams) -> BackboneParams:
     """Fuse every rep unit to its single-conv equivalent."""
-    def fuse(u):
-        return fuse_rep_block(u) if isinstance(u, RepBlockParams) else u
-
-    return BackboneParams(
-        stem=fuse(params.stem),
-        transitions=[fuse(t) for t in params.transitions],
-        stages=[[RepPair(fuse(p.a), fuse(p.b)) for p in blocks] for blocks in params.stages],
-    )
+    return params.map_units(lambda _name, u: fuse_rep_block(u) if isinstance(u, RepBlockParams) else u)
 
 
 def backbone_forward(x: np.ndarray, params: BackboneParams) -> list[np.ndarray]:

@@ -22,7 +22,7 @@ from .pillars import AUGMENTED_DIM
 class EncoderParams:
     """Point-lift affine + normalization constants, and the score affine."""
 
-    weight: np.ndarray  # (D, in_dim)
+    weight: np.ndarray  # (D, AUGMENTED_DIM)
     bias: np.ndarray  # (D,)
     norm_gamma: np.ndarray  # (D,)
     norm_beta: np.ndarray  # (D,)
@@ -33,7 +33,10 @@ class EncoderParams:
     norm_eps: float = 1e-5
 
     def __post_init__(self):
-        d, d_in = np.asarray(self.weight).shape
+        shape = np.shape(self.weight)
+        d = shape[0]
+        if shape != (d, AUGMENTED_DIM):
+            raise ValidationError(f"encoder weight must have shape ({d}, {AUGMENTED_DIM}), got {shape}")
         for name in ("bias", "norm_gamma", "norm_beta", "norm_mean", "norm_var", "score_bias"):
             arr = np.asarray(getattr(self, name))
             if arr.shape != (d,):
@@ -56,16 +59,12 @@ class EncoderParams:
     def dim(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
     @classmethod
-    def identity(cls, dim: int = AUGMENTED_DIM, in_dim: int = AUGMENTED_DIM) -> "EncoderParams":
-        """Unit affine (input channels cycled where dim != in_dim) with inactive
-        normalization and zero score logits."""
-        weight = np.zeros((dim, in_dim))
-        weight[np.arange(dim), np.arange(dim) % in_dim] = 1.0
+    def identity(cls, dim: int = AUGMENTED_DIM) -> "EncoderParams":
+        """Unit affine (input channels cycled where dim != AUGMENTED_DIM) with
+        inactive normalization and zero score logits."""
+        weight = np.zeros((dim, AUGMENTED_DIM))
+        weight[np.arange(dim), np.arange(dim) % AUGMENTED_DIM] = 1.0
         return cls(
             weight=weight,
             bias=np.zeros(dim),
@@ -78,9 +77,9 @@ class EncoderParams:
         )
 
     @classmethod
-    def random(cls, rng: np.random.Generator, dim: int, in_dim: int = AUGMENTED_DIM) -> "EncoderParams":
+    def random(cls, rng: np.random.Generator, dim: int) -> "EncoderParams":
         return cls(
-            weight=rng.normal(0.0, 0.4, (dim, in_dim)),
+            weight=rng.normal(0.0, 0.4, (dim, AUGMENTED_DIM)),
             bias=rng.normal(0.0, 0.2, dim),
             norm_gamma=rng.uniform(0.5, 1.5, dim),
             norm_beta=rng.normal(0.0, 0.2, dim),
@@ -104,8 +103,8 @@ class PillarFeature:
 
 def _check_points(aug: np.ndarray, params: EncoderParams) -> np.ndarray:
     aug = np.asarray(aug, dtype=np.float64)
-    if aug.ndim != 2 or aug.shape[1] != params.in_dim:
-        raise ValidationError(f"augmented points must be (N, {params.in_dim}), got {aug.shape}")
+    if aug.ndim != 2 or aug.shape[1] != AUGMENTED_DIM:
+        raise ValidationError(f"augmented points must be (N, {AUGMENTED_DIM}), got {aug.shape}")
     if aug.shape[0] < 1:
         raise ValidationError("cannot encode an empty pillar")
     return aug
