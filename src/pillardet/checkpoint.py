@@ -27,14 +27,14 @@ from .backbone import (
 from .encoder import EncoderParams
 from .errors import ValidationError
 from .head import HEAD_GROUPS, build_head, split_channels
-from .nn import BNParams, ConvParams, RepBlockParams, has_identity
+from .nn import BN_EPS, BNParams, ConvParams, RepBlockParams, has_identity
 from .pillars import AUGMENTED_DIM
 
 FORMAT = "pillardet-checkpoint"
 VERSION = 1
 
 # arch keys that older manifests wrote, each only ever with the value every checkpoint now assumes
-_FIXED_ARCH_KEYS = {"in_dim": AUGMENTED_DIM, "bn_eps": BNParams.eps, "norm_eps": EncoderParams.norm_eps}
+_FIXED_ARCH_KEYS = {"in_dim": AUGMENTED_DIM, "bn_eps": BN_EPS, "norm_eps": BN_EPS}
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,6 @@ def fuse_params(params: PipelineParams) -> PipelineParams:
 
 # --- named-tensor (de)serialization -------------------------------------------------
 
-_ENCODER_FIELDS = (
-    "weight", "bias", "norm_gamma", "norm_beta", "norm_mean", "norm_var", "score_weight", "score_bias",
-)
 _BN_FIELDS = ("gamma", "beta", "mean", "var")
 
 
@@ -136,10 +133,8 @@ def _flatten_unit(name: str, unit, out: dict) -> None:
         out[f"{name}.conv1.kernel"] = unit.conv1.kernel
         out[f"{name}.conv1.bias"] = unit.conv1.bias
         for bn_name, bn in (("bn3", unit.bn3), ("bn1", unit.bn1), ("bn_id", unit.bn_id)):
-            if bn is None:
-                continue
-            for f in _BN_FIELDS:
-                out[f"{name}.{bn_name}.{f}"] = getattr(bn, f)
+            if bn is not None:
+                out.update({f"{name}.{bn_name}.{f}": getattr(bn, f) for f in _BN_FIELDS})
     else:
         out[f"{name}.kernel"] = unit.kernel
         out[f"{name}.bias"] = unit.bias
@@ -147,8 +142,9 @@ def _flatten_unit(name: str, unit, out: dict) -> None:
 
 def params_to_tensors(params: PipelineParams) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    for f in _ENCODER_FIELDS:
+    for f in ("weight", "bias", "score_weight", "score_bias"):
         out[f"encoder.{f}"] = getattr(params.encoder, f)
+    out.update({f"encoder.norm_{f}": getattr(params.encoder.norm, f) for f in _BN_FIELDS})
     for name, unit in params.backbone.named_units():
         _flatten_unit(f"backbone.{name}", unit, out)
     for name in ("proj8", "proj16", "fuse"):
@@ -181,18 +177,18 @@ class _TensorReader:
         kernel = self.take(f"{name}.kernel", (c_out, c_in, k, k), what)
         return ConvParams(kernel, self.take(f"{name}.bias", (c_out,), what), stride=stride)
 
-    def bn(self, name: str, channels: int) -> BNParams:
-        return BNParams(*(self.take(f"{name}.{f}", (channels,)) for f in _BN_FIELDS))
+    def bn(self, prefix: str, channels: int) -> BNParams:
+        return BNParams(*(self.take(prefix + f, (channels,)) for f in _BN_FIELDS))
 
     def unit(self, name: str, c_in: int, c_out: int, stride: int):
         if self.mode == "fused":
             return self.conv(name, c_in, c_out, 3, stride)
         return RepBlockParams(
             conv3=self.conv(f"{name}.conv3", c_in, c_out, 3, stride),
-            bn3=self.bn(f"{name}.bn3", c_out),
+            bn3=self.bn(f"{name}.bn3.", c_out),
             conv1=self.conv(f"{name}.conv1", c_in, c_out, 1, stride),
-            bn1=self.bn(f"{name}.bn1", c_out),
-            bn_id=self.bn(f"{name}.bn_id", c_out) if has_identity(c_in, c_out, stride) else None,
+            bn1=self.bn(f"{name}.bn1.", c_out),
+            bn_id=self.bn(f"{name}.bn_id.", c_out) if has_identity(c_in, c_out, stride) else None,
         )
 
 
@@ -201,8 +197,10 @@ def params_from_tensors(tensors: dict[str, np.ndarray], arch: ArchConfig, mode: 
         raise ValidationError(f"unknown checkpoint mode {mode!r}")
     r = _TensorReader(tensors, mode)
     d = arch.encoder_dim
-    matrices = {"weight": (d, AUGMENTED_DIM), "score_weight": (d, d)}
-    encoder = EncoderParams(*(r.take(f"encoder.{f}", matrices.get(f, (d,))) for f in _ENCODER_FIELDS))
+    encoder = EncoderParams(
+        r.take("encoder.weight", (d, AUGMENTED_DIM)), r.take("encoder.bias", (d,)), r.bn("encoder.norm_", d),
+        r.take("encoder.score_weight", (d, d)), r.take("encoder.score_bias", (d,)),
+    )
     backbone = make_backbone(backbone_config(arch), lambda name, *io: r.unit(f"backbone.{name}", *io))
     ch = arch.stage_channels
     neck_specs = neck_convs(ch[2], ch[3], arch.neck_channels)

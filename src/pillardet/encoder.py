@@ -15,45 +15,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .nn import BN_EPS, BNParams, _freeze
 from .pillars import AUGMENTED_DIM
 
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Point-lift affine + normalization constants, and the score affine."""
+    """Point-lift affine and its normalization, and the score affine."""
 
     weight: np.ndarray  # (D, AUGMENTED_DIM)
     bias: np.ndarray  # (D,)
-    norm_gamma: np.ndarray  # (D,)
-    norm_beta: np.ndarray  # (D,)
-    norm_mean: np.ndarray  # (D,)
-    norm_var: np.ndarray  # (D,)
+    norm: BNParams  # (D,) channels
     score_weight: np.ndarray  # (D, D)
     score_bias: np.ndarray  # (D,)
-    norm_eps: float = 1e-5
 
     def __post_init__(self):
-        shape = np.shape(self.weight)
-        d = shape[0]
-        if shape != (d, AUGMENTED_DIM):
-            raise ValidationError(f"encoder weight must have shape ({d}, {AUGMENTED_DIM}), got {shape}")
-        for name in ("bias", "norm_gamma", "norm_beta", "norm_mean", "norm_var", "score_bias"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (d,):
-                raise ValidationError(f"encoder {name} must have shape ({d},), got {arr.shape}")
-        if np.asarray(self.score_weight).shape != (d, d):
-            raise ValidationError("encoder score_weight must be square (D, D)")
-        arrays = (self.weight, self.bias, self.norm_gamma, self.norm_beta,
-                  self.norm_mean, self.norm_var, self.score_weight, self.score_bias)
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise ValidationError("encoder parameters must be finite")
-        if np.any(np.asarray(self.norm_var) < 0.0) or self.norm_eps <= 0.0:
-            raise ValidationError("norm_var must be >= 0 and norm_eps > 0")
-        for f, name in zip(arrays, ("weight", "bias", "norm_gamma", "norm_beta", "norm_mean",
-                                    "norm_var", "score_weight", "score_bias")):
-            a = np.ascontiguousarray(np.asarray(f, dtype=np.float64))
-            a.setflags(write=False)
+        d = np.shape(self.weight)[0]
+        shapes = {"weight": (d, AUGMENTED_DIM), "bias": (d,), "score_weight": (d, d), "score_bias": (d,)}
+        for name, shape in shapes.items():
+            a = _freeze(getattr(self, name), dtype=np.float64)
+            if a.shape != shape:
+                raise ValidationError(f"encoder {name} must have shape {shape}, got {a.shape}")
             object.__setattr__(self, name, a)
+        if self.norm.channels != d:
+            raise ValidationError(f"encoder norm must have {d} channels, got {self.norm.channels}")
 
     @property
     def dim(self) -> int:
@@ -62,16 +47,13 @@ class EncoderParams:
     @classmethod
     def identity(cls, dim: int = AUGMENTED_DIM) -> "EncoderParams":
         """Unit affine (input channels cycled where dim != AUGMENTED_DIM) with
-        inactive normalization and zero score logits."""
+        neutral normalization and zero score logits."""
         weight = np.zeros((dim, AUGMENTED_DIM))
         weight[np.arange(dim), np.arange(dim) % AUGMENTED_DIM] = 1.0
         return cls(
             weight=weight,
             bias=np.zeros(dim),
-            norm_gamma=np.ones(dim),
-            norm_beta=np.zeros(dim),
-            norm_mean=np.zeros(dim),
-            norm_var=np.full(dim, 1.0 - cls.norm_eps),
+            norm=BNParams.neutral(dim),
             score_weight=np.zeros((dim, dim)),
             score_bias=np.zeros(dim),
         )
@@ -81,10 +63,7 @@ class EncoderParams:
         return cls(
             weight=rng.normal(0.0, 0.4, (dim, AUGMENTED_DIM)),
             bias=rng.normal(0.0, 0.2, dim),
-            norm_gamma=rng.uniform(0.5, 1.5, dim),
-            norm_beta=rng.normal(0.0, 0.2, dim),
-            norm_mean=rng.normal(0.0, 0.2, dim),
-            norm_var=rng.uniform(0.5, 1.5, dim),
+            norm=BNParams.random(rng, dim),
             score_weight=rng.normal(0.0, 0.4, (dim, dim)),
             score_bias=rng.normal(0.0, 0.2, dim),
         )
@@ -114,8 +93,7 @@ def encode_points(aug: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Lift augmented points to (N_v, D): rectifier(normalize(affine(aug)))."""
     aug = _check_points(aug, params)
     z = aug @ params.weight.T + params.bias
-    scale = params.norm_gamma / np.sqrt(params.norm_var + params.norm_eps)
-    y = (z - params.norm_mean) * scale + params.norm_beta
+    y = (z - params.norm.mean) * params.norm.scale + params.norm.beta
     return np.maximum(y, 0.0)
 
 
@@ -179,9 +157,9 @@ def encoder_backward(aug: np.ndarray, params: EncoderParams, upstream: np.ndarra
     if upstream.shape != (params.dim,):
         raise ValidationError(f"upstream gradient must have shape ({params.dim},)")
 
+    norm = params.norm
     z = aug @ params.weight.T + params.bias
-    scale = params.norm_gamma / np.sqrt(params.norm_var + params.norm_eps)
-    y = (z - params.norm_mean) * scale + params.norm_beta
+    y = (z - norm.mean) * norm.scale + norm.beta
     pe = np.maximum(y, 0.0)
     s = attention_scores(pe, params)
     f_att = (s * pe).sum(axis=0)
@@ -197,9 +175,9 @@ def encoder_backward(aug: np.ndarray, params: EncoderParams, upstream: np.ndarra
     d_score_bias = d_logits.sum(axis=0)
 
     d_y = d_pe * (y > 0.0)
-    d_gamma = (d_y * (z - params.norm_mean)).sum(axis=0) / np.sqrt(params.norm_var + params.norm_eps)
+    d_gamma = (d_y * (z - norm.mean)).sum(axis=0) / np.sqrt(norm.var + BN_EPS)
     d_beta = d_y.sum(axis=0)
-    d_z = d_y * scale
+    d_z = d_y * norm.scale
     return EncoderGrads(
         weight=d_z.T @ aug,
         bias=d_z.sum(axis=0),

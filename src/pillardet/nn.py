@@ -64,9 +64,13 @@ class ConvParams:
         return self.ksize // 2
 
 
+# the one normalisation epsilon, never stored: every checkpoint assumes it
+BN_EPS = 1e-5
+
+
 @dataclass(frozen=True)
 class BNParams:
-    """Per-channel normalization: gamma, beta, running mean/var, epsilon.
+    """Per-channel normalization: gamma, beta, running mean/var; divides by sqrt(var + BN_EPS).
 
     Statistics are held in float64 so folding them into a conv stays exact
     to the final float32 rounding.
@@ -76,7 +80,6 @@ class BNParams:
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    eps: float = 1e-5
 
     def __post_init__(self):
         c = np.asarray(self.gamma).shape[0]
@@ -87,27 +90,34 @@ class BNParams:
             object.__setattr__(self, name, arr)
         if np.any(self.var < 0.0):
             raise ValidationError("bn running variance must be >= 0")
-        if not self.eps > 0.0:
-            raise ValidationError("bn epsilon must be > 0")
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
 
-    # dyadic epsilon: var + eps is exactly 1.0 in float64, so neutral
-    # statistics scale by exactly 1
-    NEUTRAL_EPS = 2.0 ** -17
+    @property
+    def scale(self) -> np.ndarray:
+        """Per-channel multiplier gamma / sqrt(var + BN_EPS), in float64."""
+        return self.gamma / np.sqrt(self.var + BN_EPS)
 
     @classmethod
-    def neutral(cls, channels: int, eps: float | None = None) -> "BNParams":
-        """Statistics that make the layer an exact identity (var = 1 - eps)."""
-        eps = cls.NEUTRAL_EPS if eps is None else eps
+    def neutral(cls, channels: int) -> "BNParams":
+        """Statistics that make the layer an exact identity, also after float32 storage:
+        2^38 + BN_EPS rounds to 2^38 in float64, so the scale is 2^19 / 2^19 = 1."""
         return cls(
-            gamma=np.ones(channels),
+            gamma=np.full(channels, 2.0**19),
             beta=np.zeros(channels),
             mean=np.zeros(channels),
-            var=np.full(channels, 1.0 - eps),
-            eps=eps,
+            var=np.full(channels, 2.0**38),
+        )
+
+    @classmethod
+    def random(cls, rng: np.random.Generator, channels: int) -> "BNParams":
+        return cls(
+            gamma=rng.uniform(0.5, 1.5, channels),
+            beta=rng.normal(0.0, 0.2, channels),
+            mean=rng.normal(0.0, 0.2, channels),
+            var=rng.uniform(0.5, 1.5, channels),
         )
 
 
@@ -140,10 +150,9 @@ def batchnorm(x: np.ndarray, bn: BNParams) -> np.ndarray:
     x = check_tensor(x)
     if x.shape[1] != bn.channels:
         raise ValidationError(f"input has {x.shape[1]} channels, bn expects {bn.channels}")
-    scale64 = bn.gamma / np.sqrt(bn.var + bn.eps)
-    scale = scale64.astype(FLOAT)
-    shift = (bn.beta - bn.mean * scale64).astype(FLOAT)
-    return x * scale[:, None, None] + shift[:, None, None]
+    scale = bn.scale
+    shift = (bn.beta - bn.mean * scale).astype(FLOAT)
+    return x * scale.astype(FLOAT)[:, None, None] + shift[:, None, None]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -165,10 +174,10 @@ def upsample_nearest2(x: np.ndarray) -> np.ndarray:
 
 
 def bn_fold(conv: ConvParams, bn: BNParams) -> ConvParams:
-    """Absorb the BN into the conv: w' = w * g / sqrt(v + eps), b' matching."""
+    """Absorb the BN into the conv: w' = w * scale, b' matching."""
     if bn.channels != conv.out_channels:
         raise ValidationError("bn channel count must match conv output channels")
-    scale = bn.gamma / np.sqrt(bn.var + bn.eps)
+    scale = bn.scale
     kernel = conv.kernel.astype(np.float64) * scale[:, None, None, None]
     bias = bn.beta + (conv.bias.astype(np.float64) - bn.mean) * scale
     return ConvParams(kernel, bias, stride=conv.stride)
@@ -276,24 +285,16 @@ def random_rep_block(
     rng: np.random.Generator, c_in: int, c_out: int, stride: int = 1, with_identity: bool | None = None
 ) -> RepBlockParams:
     """Random unit with sane magnitudes; identity branch added where ``has_identity`` allows."""
-    def bn(c):
-        return BNParams(
-            gamma=rng.uniform(0.5, 1.5, c),
-            beta=rng.normal(0.0, 0.2, c),
-            mean=rng.normal(0.0, 0.2, c),
-            var=rng.uniform(0.5, 1.5, c),
-        )
-
     if with_identity is None:
         with_identity = has_identity(c_in, c_out, stride)
     k3 = rng.normal(0.0, 1.0, (c_out, c_in, 3, 3)) / np.sqrt(9.0 * c_in)
     k1 = rng.normal(0.0, 1.0, (c_out, c_in, 1, 1)) / np.sqrt(c_in)
     return RepBlockParams(
         conv3=ConvParams(k3, rng.normal(0.0, 0.1, c_out), stride=stride),
-        bn3=bn(c_out),
+        bn3=BNParams.random(rng, c_out),
         conv1=ConvParams(k1, rng.normal(0.0, 0.1, c_out), stride=stride),
-        bn1=bn(c_out),
-        bn_id=bn(c_out) if with_identity else None,
+        bn1=BNParams.random(rng, c_out),
+        bn_id=BNParams.random(rng, c_out) if with_identity else None,
     )
 
 

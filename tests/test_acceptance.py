@@ -26,7 +26,7 @@ from pillardet.pointcloud import PointCloud, SceneSpec, generate_scene
 from pillardet.profiles import DESK, flops_config
 from pillardet.backbone import count_macs, count_params
 
-from test_encoder import stable_instance
+from test_encoder import _param, _replace as _enc_replace, stable_instance
 from test_head import naive_nms, random_detections
 from test_losses import diou_of_vec, fd_grad, rel_err, stable_pair, vec_of
 
@@ -36,14 +36,6 @@ REFERENCE_DELTA_MACS = 77.1e9
 def report(criterion, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}", flush=True)
     assert ok, detail
-
-
-def _enc_replace(p, name, value):
-    fields = ("weight", "bias", "norm_gamma", "norm_beta", "norm_mean", "norm_var",
-              "score_weight", "score_bias")
-    kw = {f: getattr(p, f) for f in fields}
-    kw[name] = value
-    return EncoderParams(norm_eps=p.norm_eps, **kw)
 
 
 def rel_discrepancy(a, b):
@@ -166,7 +158,7 @@ def test_criterion_4_gradient_checks():
         fd = fd_grad(lambda inputs: float(upstream @ encode_pillar(inputs, p).f), aug, h)
         worst_enc = max(worst_enc, rel_err(g.inputs, fd))
         for field in ("weight", "score_weight", "bias", "norm_gamma"):
-            base = getattr(p, field)
+            base = _param(p, field)
             fd_p = np.zeros_like(base)
             for idx in np.ndindex(base.shape):
                 for sign in (1.0, -1.0):

@@ -18,8 +18,11 @@ from pillardet.checkpoint import (
     save_checkpoint,
     save_tensors,
 )
+from pillardet.encoder import encode_pillar
 from pillardet.errors import ValidationError
 from pillardet.head import HEAD_GROUPS
+from pillardet.nn import relu, unit_forward
+from pillardet.pillars import AUGMENTED_DIM
 from pillardet.profiles import DESK
 
 
@@ -99,6 +102,18 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             fused_stage1.kernel[np.arange(c), np.arange(c), 1, 1], np.ones(c, dtype=np.float32)
         )
+
+    def test_identity_checkpoint_is_exact_after_load(self, tmp_path):
+        arch = DESK.arch()
+        params = new_params(arch, mode="identity")
+        p = tmp_path / "ident.json"
+        save_checkpoint(p, params, arch)
+        loaded, _, _ = load_checkpoint(p)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(1, arch.encoder_dim, 16, 16)).astype(np.float32)
+        assert unit_forward(x, loaded.backbone.stem).tobytes() == relu(x).tobytes()
+        aug = rng.normal(size=(7, AUGMENTED_DIM))
+        assert encode_pillar(aug, loaded.encoder).f.tobytes() == encode_pillar(aug, params.encoder).f.tobytes()
 
     def test_missing_tensor_rejected(self, tmp_path):
         arch = DESK.arch()

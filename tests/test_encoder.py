@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def naive_encode(aug, p):
             z = p.bias[j]
             for k in range(d_in):
                 z += p.weight[j, k] * aug[i, k]
-            y = p.norm_gamma[j] * (z - p.norm_mean[j]) / math.sqrt(p.norm_var[j] + p.norm_eps) + p.norm_beta[j]
+            y = p.norm.gamma[j] * (z - p.norm.mean[j]) / math.sqrt(p.norm.var[j] + 1e-5) + p.norm.beta[j]
             out[i, j] = y if y > 0.0 else 0.0
     return out
 
@@ -38,7 +39,7 @@ def stable_instance(seed, n_max=8, d_max=16, relu_margin=1e-2, max_gap=1e-3):
         aug = rng.normal(0.0, 1.0, (n, 11))
         p = EncoderParams.random(rng, d)
         z = aug @ p.weight.T + p.bias
-        y = (z - p.norm_mean) * p.norm_gamma / np.sqrt(p.norm_var + p.norm_eps) + p.norm_beta
+        y = (z - p.norm.mean) * p.norm.gamma / np.sqrt(p.norm.var + 1e-5) + p.norm.beta
         if np.min(np.abs(y)) < relu_margin:
             continue
         pe = np.maximum(y, 0.0)
@@ -135,9 +136,8 @@ class TestEncodePillar:
         weight = np.zeros((1, 11))
         weight[0, 0] = 1.0
         p = EncoderParams(
-            weight=weight, bias=p.bias, norm_gamma=p.norm_gamma, norm_beta=p.norm_beta,
-            norm_mean=p.norm_mean, norm_var=p.norm_var, score_weight=p.score_weight,
-            score_bias=p.score_bias, norm_eps=p.norm_eps,
+            weight=weight, bias=p.bias, norm=p.norm, score_weight=p.score_weight,
+            score_bias=p.score_bias,
         )
         aug = np.zeros((2, 11))
         aug[0, 0] = 4.0
@@ -187,9 +187,8 @@ class TestBackward:
         weight[0, 0] = 1.0
         base = EncoderParams.identity(1)
         p = EncoderParams(
-            weight=weight, bias=base.bias, norm_gamma=base.norm_gamma, norm_beta=base.norm_beta,
-            norm_mean=base.norm_mean, norm_var=base.norm_var, score_weight=base.score_weight,
-            score_bias=base.score_bias, norm_eps=base.norm_eps,
+            weight=weight, bias=base.bias, norm=base.norm, score_weight=base.score_weight,
+            score_bias=base.score_bias,
         )
         aug = np.zeros((1, 11))
         aug[0, 0] = 2.5
@@ -215,7 +214,7 @@ class TestBackward:
         worst = 0.0
         for name, analytic in checks:
             fd = np.zeros_like(analytic)
-            base = getattr(p, name)
+            base = _param(p, name)
             for idx in np.ndindex(base.shape):
                 for sign in (1.0, -1.0):
                     bumped = base.copy()
@@ -234,11 +233,15 @@ class TestBackward:
         assert worst < 1e-4
 
 
+def _param(p: EncoderParams, name):
+    """A parameter by its gradient name: ``norm_gamma`` is ``p.norm.gamma``."""
+    return getattr(p.norm, name[len("norm_"):]) if name.startswith("norm_") else getattr(p, name)
+
+
 def _replace(p: EncoderParams, name, value):
-    kw = {f: getattr(p, f) for f in ("weight", "bias", "norm_gamma", "norm_beta", "norm_mean",
-                                     "norm_var", "score_weight", "score_bias")}
-    kw[name] = value
-    return EncoderParams(norm_eps=p.norm_eps, **kw)
+    if name.startswith("norm_"):
+        return replace(p, norm=replace(p.norm, **{name[len("norm_"):]: value}))
+    return replace(p, **{name: value})
 
 
 def _rel_err(analytic, fd):

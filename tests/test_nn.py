@@ -97,9 +97,9 @@ class TestBNFold:
     def test_pure_scale(self):
         rng = np.random.default_rng(4)
         conv = ConvParams(rng.normal(size=(2, 2, 3, 3)), np.zeros(2))
-        eps = BNParams.NEUTRAL_EPS
-        bn = BNParams(gamma=np.full(2, 2.0), beta=np.zeros(2), mean=np.zeros(2),
-                      var=np.full(2, 1.0 - eps), eps=eps)
+        neutral = BNParams.neutral(2)
+        bn = BNParams(gamma=2.0 * neutral.gamma, beta=np.zeros(2), mean=np.zeros(2),
+                      var=neutral.var)
         folded = bn_fold(conv, bn)
         np.testing.assert_array_equal(folded.kernel, conv.kernel * np.float32(2.0))
 
