@@ -25,7 +25,7 @@ from .backbone import (
     neck_convs,
 )
 from .encoder import EncoderParams
-from .errors import ValidationError
+from .errors import ValidationError, check_json
 from .head import HEAD_GROUPS, build_head, split_channels
 from .nn import BN_EPS, BNParams, ConvParams, RepBlockParams, has_identity
 from .pillars import AUGMENTED_DIM
@@ -33,6 +33,9 @@ from .pillars import AUGMENTED_DIM
 FORMAT = "pillardet-checkpoint"
 VERSION = 1
 
+# the JSON type of each arch key a manifest records
+_ARCH_KEYS = {"encoder_dim": int, "stage_blocks": list[int], "stage_channels": list[int], "neck_channels": int,
+              "n_classes": int}
 # arch keys that older manifests wrote, each only ever with the value every checkpoint now assumes
 _FIXED_ARCH_KEYS = {"in_dim": AUGMENTED_DIM, "bn_eps": BN_EPS, "norm_eps": BN_EPS}
 
@@ -61,13 +64,8 @@ class ArchConfig:
             for key, value in _FIXED_ARCH_KEYS.items():
                 if d.get(key, value) != value:
                     raise ValidationError(f"{key} is {d[key]!r}, but only {value!r} is supported")
-            return cls(
-                encoder_dim=int(d["encoder_dim"]),
-                stage_blocks=tuple(int(v) for v in d["stage_blocks"]),
-                stage_channels=tuple(int(v) for v in d["stage_channels"]),
-                neck_channels=int(d["neck_channels"]),
-                n_classes=int(d["n_classes"]),
-            )
+            values = {key: check_json(key, d[key], kind) for key, kind in _ARCH_KEYS.items()}
+            return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()})
         except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as e:
             raise ValidationError(f"bad architecture record in manifest: {e}") from e
 

@@ -102,8 +102,8 @@ def _clip_tracked(poly, clip):
     """Clip a list of (point, jacobian-or-None) vertices by each CCW clip edge.
 
     Jacobians are 2x5 derivatives of the vertex position w.r.t. the subject
-    box parameters (cx, cy, l, w, yaw); intersection vertices get the exact
-    chain-rule jacobian of the crossing point.
+    box parameters (cx, cy, l, w, yaw), given for every vertex or for none;
+    intersection vertices get the exact chain-rule jacobian of the crossing point.
     """
     n_clip = len(clip)
     for e in range(n_clip):
@@ -117,7 +117,7 @@ def _clip_tracked(poly, clip):
             return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
 
         def side_jac(jac):
-            return ex * jac[1] - ey * jac[0] if jac is not None else None
+            return ex * jac[1] - ey * jac[0]
 
         out = []
         n = len(poly)
@@ -130,19 +130,11 @@ def _clip_tracked(poly, clip):
             if (sp >= 0.0) != (sq >= 0.0):
                 denom = sp - sq
                 t = sp / denom
-                pos = p + t * (q - p)
-                dsp, dsq = side_jac(jp), side_jac(jq)
-                if dsp is None and dsq is None:
-                    jac = None
-                else:
-                    z = np.zeros(5)
-                    dsp = z if dsp is None else dsp
-                    dsq = z if dsq is None else dsq
-                    jp_ = np.zeros((2, 5)) if jp is None else jp
-                    jq_ = np.zeros((2, 5)) if jq is None else jq
-                    dt = (-sq * dsp + sp * dsq) / (denom * denom)
-                    jac = jp_ + t * (jq_ - jp_) + np.outer(q - p, dt)
-                out.append((pos, jac))
+                jac = None
+                if jp is not None:
+                    dt = (-sq * side_jac(jp) + sp * side_jac(jq)) / (denom * denom)
+                    jac = jp + t * (jq - jp) + np.outer(q - p, dt)
+                out.append((p + t * (q - p), jac))
         poly = out
     return poly
 
@@ -195,8 +187,6 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
         for i in range(n):
             p, jp = poly[i]
             q, jq = poly[(i + 1) % n]
-            jp = np.zeros((2, 5)) if jp is None else jp
-            jq = np.zeros((2, 5)) if jq is None else jq
             inter += p[0] * q[1] - q[0] * p[1]
             d_inter += jp[0] * q[1] + p[0] * jq[1] - jq[0] * p[1] - q[0] * jp[1]
         inter *= 0.5

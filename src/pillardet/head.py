@@ -19,12 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 from .geometry import Box3D, normalize_yaw, rotated_iou_bev
 from .nn import ConvParams, conv2d
 from .pillars import GridConfig
 
 HEATMAP_CLAMP = 1e-4
+
+# Log-size band applied before exp at decode: boxes measure e^-5 (6.7 mm) to e^5
+# (148 m) per side, which holds every size ``generate`` draws on the built-in
+# profiles, and a box's BEV area (>= e^-10) never underflows.
+LOG_SIZE_BAND = (-5.0, 5.0)
 
 # Output channels of the head conv, in order: (HeadOutput field, checkpoint tensor
 # group, width). The heatmap has one channel per class; the groups between it and
@@ -59,18 +64,21 @@ class HeadOutput:
     iou: np.ndarray  # in [-1, 1]
 
     def __post_init__(self):
-        hm = np.asarray(self.heatmap, dtype=np.float64)
-        if hm.ndim != 3:
-            raise ValidationError(f"heatmap must be (classes, h, w), got {hm.shape}")
-        if np.any(hm <= 0.0) or np.any(hm >= 1.0):
-            raise ValidationError("heatmap values must lie strictly in (0, 1)")
-        object.__setattr__(self, "heatmap", hm)
-        for name, _, width in HEAD_GROUPS[1:]:
+        hm_shape = np.shape(self.heatmap)
+        if len(hm_shape) != 3:
+            raise ValidationError(f"heatmap must be (classes, h, w), got {hm_shape}")
+        for name, _, width in HEAD_GROUPS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            want = (width, *hm.shape[1:])
+            want = (width or hm_shape[0], *hm_shape[1:])
             if arr.shape != want:
                 raise ValidationError(f"head {name} must have shape {want}, got {arr.shape}")
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                c, row, col = bad[0]
+                raise ValidationError(f"head {name} channel {c} is non-finite at cell (row {row}, col {col})")
             object.__setattr__(self, name, arr)
+        if np.any(self.heatmap <= 0.0) or np.any(self.heatmap >= 1.0):
+            raise ValidationError("heatmap values must lie strictly in (0, 1)")
 
     def channels(self) -> np.ndarray:
         """Every group stacked in head-conv channel order; inverse of ``split_channels``."""
@@ -153,10 +161,11 @@ def decode(
 
 
 def decode_cell(out: HeadOutput, grid: GridConfig, out_stride: int, row: int, col: int, class_id: int = 0) -> Box3D:
-    """The world-frame box the regression channels of one head cell encode."""
+    """The world-frame box the regression channels of one head cell encode;
+    log-sizes are clamped to ``LOG_SIZE_BAND``."""
     cx = grid.range.x_min + (col + 0.5 + out.offset[0, row, col]) * (out_stride * grid.pillar_x)
     cy = grid.range.y_min + (row + 0.5 + out.offset[1, row, col]) * (out_stride * grid.pillar_y)
-    l, w, h = np.exp(out.size[:, row, col])
+    l, w, h = np.exp(np.clip(out.size[:, row, col], *LOG_SIZE_BAND))
     yaw = math.atan2(out.yaw[0, row, col], out.yaw[1, row, col])
     return Box3D(cx, cy, float(out.z[0, row, col]), float(l), float(w), float(h), normalize_yaw(yaw), class_id)
 
@@ -228,12 +237,16 @@ def _sigmoid(x):
 
 
 def head_forward(features: np.ndarray, params: ConvParams) -> HeadOutput:
-    """Apply the prediction conv to a single-sample (1, C, h, w) feature map."""
+    """Apply the prediction conv to a single-sample (1, C, h, w) feature map;
+    a non-finite output is an internal fault."""
     # float32 views; HeadOutput copies each group to float64, so no output keeps the whole stack alive
     groups = split_channels(conv2d(features, params)[0])
     groups["heatmap"] = np.clip(_sigmoid(groups["heatmap"]), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
     groups["iou"] = np.tanh(groups["iou"], dtype=np.float64)
-    return HeadOutput(**groups)
+    try:
+        return HeadOutput(**groups)
+    except ValidationError as e:
+        raise InvariantViolation(f"head conv output: {e}") from e
 
 
 DETECTION_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw", "class", "cls_score", "iou_score", "final_score")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_json
 from .geometry import Box3D, points_in_box
 
 RECORD_FIELDS = 5
@@ -50,12 +50,12 @@ class Range3D:
         )
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Range3D":
         try:
-            return cls(**{k: float(d[k]) for k in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")})
+            return cls(**{f.name: float(check_json(f"range {f.name}", d[f.name], float)) for f in fields(cls)})
         except KeyError as e:
             raise ValidationError(f"range dict missing key {e}") from e
 
@@ -122,7 +122,7 @@ def load_cloud(path) -> PointCloud:
         except json.JSONDecodeError as e:
             raise ValidationError(f"{mp}: malformed metadata: {e}") from e
         count = meta.get("record_count")
-        if count is not None and int(count) != data.shape[0]:
+        if count is not None and check_json(f"{mp}: record_count", count, int) != data.shape[0]:
             raise ValidationError(f"{path}: metadata says {count} records, file holds {data.shape[0]}")
         if meta.get("declared_range"):
             declared = Range3D.from_dict(meta["declared_range"])

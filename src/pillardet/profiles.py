@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .backbone import DEFAULT_CHANNELS, BackboneConfig
 from .checkpoint import ArchConfig
-from .errors import ValidationError
+from .errors import ValidationError, check_json
 from .losses import LossWeights
 from .pillars import GridConfig
 from .pointcloud import Range3D
@@ -136,27 +136,20 @@ def flops_config(stage_blocks, profile: Profile | None = None) -> BackboneConfig
 _PROFILE_KEYS = {
     "name": str,
     "range": dict,
-    "pillar_size": list,
+    "pillar_size": list[float],
     "n_classes": int,
     "encoder_dim": int,
-    "stage_blocks": list,
-    "stage_channels": list,
+    "stage_blocks": list[int],
+    "stage_channels": list[int],
     "neck_channels": int,
     "canvas_reduction": int,
     "score_thresh": float,
     "max_detections": int,
-    "nms_iou": (float, list),
+    "nms_iou": (float, list[float]),
     "nms_class_agnostic": bool,
-    "rectify_alpha": (float, list),
-    "loss_weights": list,
+    "rectify_alpha": (float, list[float]),
+    "loss_weights": list[float],
 }
-
-
-def _is_json(value, kind: type) -> bool:
-    """Whether a JSON value has a declared key type: a bool is no number, an int is a float."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def profile_from_dict(d: dict) -> Profile:
@@ -167,10 +160,7 @@ def profile_from_dict(d: dict) -> Profile:
     if missing:
         raise ValidationError(f"profile is missing keys: {sorted(missing)}")
     for key, kinds in _PROFILE_KEYS.items():
-        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-        if not any(_is_json(d[key], kind) for kind in kinds):
-            names = " or ".join(kind.__name__ for kind in kinds)
-            raise ValidationError(f"profile key {key!r} must be {names}, got {d[key]!r}")
+        check_json(f"profile key {key!r}", d[key], *(kinds if isinstance(kinds, tuple) else (kinds,)))
     try:
         nms_iou = d["nms_iou"]
         alpha = d["rectify_alpha"]
@@ -178,18 +168,18 @@ def profile_from_dict(d: dict) -> Profile:
         if len(lw) != 3:
             raise ValidationError("loss_weights must have 3 entries")
         return Profile(
-            name=str(d["name"]),
+            name=d["name"],
             grid=GridConfig(Range3D.from_dict(d["range"]), float(d["pillar_size"][0]), float(d["pillar_size"][1])),
-            n_classes=int(d["n_classes"]),
-            encoder_dim=int(d["encoder_dim"]),
-            stage_blocks=tuple(int(v) for v in d["stage_blocks"]),
-            stage_channels=tuple(int(v) for v in d["stage_channels"]),
-            neck_channels=int(d["neck_channels"]),
-            canvas_reduction=int(d["canvas_reduction"]),
+            n_classes=d["n_classes"],
+            encoder_dim=d["encoder_dim"],
+            stage_blocks=tuple(d["stage_blocks"]),
+            stage_channels=tuple(d["stage_channels"]),
+            neck_channels=d["neck_channels"],
+            canvas_reduction=d["canvas_reduction"],
             score_thresh=float(d["score_thresh"]),
-            max_detections=int(d["max_detections"]),
+            max_detections=d["max_detections"],
             nms_iou=float(nms_iou) if isinstance(nms_iou, (int, float)) else tuple(float(v) for v in nms_iou),
-            nms_class_agnostic=bool(d["nms_class_agnostic"]),
+            nms_class_agnostic=d["nms_class_agnostic"],
             rectify_alpha=float(alpha) if isinstance(alpha, (int, float)) else tuple(float(v) for v in alpha),
             loss_weights=LossWeights(*lw),
         )

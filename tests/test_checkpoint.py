@@ -241,6 +241,18 @@ class TestArchShapes:
             load_checkpoint(p)
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("encoder_dim", 8.9), ("neck_channels", "16"), ("stage_blocks", [1.0, 1, 1, 1]), ("n_classes", True),
+    ])
+    def test_wrong_typed_arch_value_rejected(self, tmp_path, key, value):
+        arch = DESK.arch()
+        p = tmp_path / "typed.json"
+        meta = {"mode": "train", "arch": dict(arch.as_dict(), **{key: value})}
+        save_tensors(p, params_to_tensors(new_params(arch, seed=16)), meta)
+        with pytest.raises(ValidationError, match=key):
+            load_checkpoint(p)
+
+
 small_archs = st.builds(
     lambda encoder_dim, blocks, base, neck, n_classes: ArchConfig(
         encoder_dim, blocks, (base, 2 * base, 4 * base, 8 * base), neck, n_classes

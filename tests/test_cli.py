@@ -1,11 +1,13 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pillardet.cli import main, read_boxes, write_boxes
 from pillardet.geometry import Box3D
-from pillardet.head import read_detections, save_head_output
+from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, read_detections, save_head_output
 from pillardet.losses import render_gaussian_targets
 from pillardet.pillars import assign_pillars
 from pillardet.pipeline import head_output_from_targets
@@ -176,6 +178,44 @@ class TestDetect:
         rc = main(["detect", "--profile", "waymo", "--cloud", str(scene),
                    "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+class TestExtremeHeadOutput:
+    """Injected head values no trained network gives: log-sizes far outside the band
+    decode to band-edge boxes, and a non-finite value is a bad input naming its cell."""
+
+    def _detect(self, scene, ckpt, tmp_path, group, value):
+        boxes = read_boxes(str(scene) + ".boxes.csv")
+        targets = render_gaussian_targets(boxes, DESK.grid, DESK.out_stride, DESK.n_classes)
+        head = head_output_from_targets(targets)
+        fields = {name: getattr(head, name).copy() for name, _, _ in HEAD_GROUPS}
+        row, col, _ = targets.centers[0]
+        fields[group][0, row, col] = value
+        fixture = tmp_path / "head.npz"
+        np.savez(fixture, **fields)
+        out = tmp_path / "dets.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(ckpt),
+                         "--inject-head", str(fixture), "--out", str(out)])
+        return code, out, (row, col), len(boxes)
+
+    @pytest.mark.parametrize("log_size", [700.0, -700.0])
+    def test_extreme_log_size_decodes_at_the_band_edge(self, scene, train_ckpt, tmp_path, log_size):
+        code, out, _, n_boxes = self._detect(scene, train_ckpt, tmp_path, "size", log_size)
+        assert code == 0
+        dets = read_detections(out)
+        assert len(dets) == n_boxes
+        edge = math.exp(LOG_SIZE_BAND[0] if log_size < 0 else LOG_SIZE_BAND[1])
+        assert any(d.box.l == pytest.approx(edge, rel=1e-12) for d in dets)
+        assert all(math.exp(LOG_SIZE_BAND[0]) * 0.999 < v < math.exp(LOG_SIZE_BAND[1]) * 1.001
+                   for d in dets for v in (d.box.l, d.box.w, d.box.h))
+
+    @pytest.mark.parametrize("group", ["heatmap", "size"])
+    def test_non_finite_value_exit_one_naming_its_cell(self, scene, train_ckpt, tmp_path, capsys, group):
+        code, _, (row, col), _ = self._detect(scene, train_ckpt, tmp_path, group, np.nan)
+        assert code == 1
+        assert f"head {group} channel 0 is non-finite at cell (row {row}, col {col})" in capsys.readouterr().err
 
 
 class TestBench:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pillardet.errors import ValidationError
+from pillardet.errors import InvariantViolation, ValidationError
 from pillardet.geometry import Box3D, bev_corners, iou_bev_with_grad, rotated_iou_bev
 from pillardet.head import (
     HEAD_GROUPS,
     HEATMAP_CLAMP,
+    LOG_SIZE_BAND,
     Detection,
     HeadOutput,
     build_head,
@@ -131,6 +133,13 @@ class TestHeadConv:
         out = head_forward(np.zeros((1, 8, 3, 3), dtype=np.float32), params)
         np.testing.assert_allclose(out.heatmap, 0.01, rtol=1e-6)
         assert not out.offset.any() and not out.iou.any()
+
+    def test_non_finite_features_are_an_internal_fault(self):
+        params = build_head(8, 2, np.random.default_rng(2))
+        features = np.zeros((1, 8, 3, 4), dtype=np.float32)
+        features[0, 5, 1, 2] = np.nan
+        with pytest.raises(InvariantViolation, match=r"heatmap channel 0 is non-finite at cell \(row 1, col 2\)"):
+            head_forward(features, params)
 
 
 class TestRectify:
@@ -271,6 +280,73 @@ box_strategy = st.builds(
 @given(box_strategy, box_strategy)
 def test_iou_with_grad_matches_rotated_iou(a, b):
     assert iou_bev_with_grad(a, b)[0] == pytest.approx(rotated_iou_bev(a, b), abs=1e-12)
+
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(box_strategy, box_strategy)
+def test_rotated_iou_is_a_symmetric_share(a, b):
+    iou = rotated_iou_bev(a, b)
+    assert 0.0 <= iou <= 1.0
+    assert rotated_iou_bev(b, a) == pytest.approx(iou, abs=1e-9)
+    assert rotated_iou_bev(a, a) == pytest.approx(1.0, abs=1e-9)
+
+
+detections_strategy = st.lists(
+    st.builds(
+        lambda box, c, score: Detection(dataclasses.replace(box, class_id=c), c, score, 0.5, score),
+        box_strategy,
+        st.integers(0, 2),
+        st.floats(0.05, 1.0),
+    ),
+    max_size=12,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(detections_strategy, st.floats(0.05, 0.95), st.booleans())
+def test_nms_keeps_an_idempotent_non_overlapping_subsequence(dets, thresh, class_agnostic):
+    kept = nms(dets, thresh, class_agnostic=class_agnostic)
+    positions = [next(i for i, d in enumerate(dets) if d is k) for k in kept]
+    assert positions == sorted(set(positions))
+    for i, a in enumerate(kept):
+        for b in kept[i + 1 :]:
+            if class_agnostic or a.class_id == b.class_id:
+                assert rotated_iou_bev(a.box, b.box) <= thresh
+    assert nms(kept, thresh, class_agnostic=class_agnostic) == kept
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0)), max_size=8))
+def test_rectify_endpoints_give_cls_and_iou(scores):
+    dets = [Detection(Box3D(0, 0, 0, 1, 1, 1, 0), 0, c, i, c) for c, i in scores]
+    assert [d.final_score for d in rectify_detections(dets, 0.0)] == [c for c, _ in scores]
+    assert [d.final_score for d in rectify_detections(dets, 1.0)] == [i for _, i in scores]
+
+
+def _head_group(width, elements=st.floats(allow_nan=False, allow_infinity=False)):
+    return arrays(np.float64, (width, 3, 3), elements=elements)
+
+
+# offsets are bounded so that the decoded center stays finite on GRID
+head_strategy = st.builds(
+    HeadOutput,
+    heatmap=_head_group(2, st.floats(HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)),
+    offset=_head_group(2, st.floats(-1e6, 1e6)),
+    z=_head_group(1),
+    size=_head_group(3),
+    yaw=_head_group(2),
+    iou=_head_group(1),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(head_strategy)
+def test_finite_head_output_decodes_to_in_band_boxes(out):
+    lo, hi = (math.exp(v) for v in LOG_SIZE_BAND)
+    for d in decode(out, GRID, STRIDE, k=100, score_thresh=0.0):
+        assert all(lo * (1 - 1e-12) <= v <= hi * (1 + 1e-12) for v in (d.box.l, d.box.w, d.box.h))
+        assert d.box.bev_area() > 0.0
 
 
 def naive_nms(dets, iou_thresh, class_agnostic):

@@ -133,6 +133,36 @@ class TestProfiles:
                 load_profile(str(p))
 
 
+    @pytest.mark.parametrize("key,value,ok", [
+        ("stage_blocks", [1.9, 1, 1, 1], False),
+        ("stage_channels", [8, 16, 32, "64"], False),
+        ("pillar_size", [0.2, "0.2"], False),
+        ("loss_weights", [1.0, 1.0, None], False),
+        ("nms_iou", [0.5, False, 0.5], False),
+        ("range", dict(DESK.grid.range.as_dict(), x_min="-6.4"), False),
+        ("loss_weights", [1, 1, 0], True),
+        ("range", dict(DESK.grid.range.as_dict(), z_min=-2, z_max=2), True),
+    ])
+    def test_list_elements_and_range_values_checked(self, tmp_path, key, value, ok):
+        import json
+
+        from pillardet.errors import ValidationError
+
+        p = tmp_path / "profile.json"
+        p.write_text(json.dumps(dict(DESK_PROFILE_JSON, **{key: value})))
+        if ok:
+            assert load_profile(str(p)).name == "desk-file"
+        else:
+            with pytest.raises(ValidationError, match="x_min" if key == "range" else key):
+                load_profile(str(p))
+
+    def test_file_profiles_in_the_repo_load(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        assert load_profile(str(root / "perfbench" / "wide_dense_profile.json")).name == "wide-dense"
+
+
 class TestDetectPipeline:
     def test_empty_cloud_empty_detections(self):
         params = new_params(DESK.arch(), mode="random", seed=0)
