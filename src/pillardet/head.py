@@ -233,7 +233,10 @@ def build_head(neck_channels: int, n_classes: int, rng: np.random.Generator | No
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    """Logistic function in float64 that never overflows: exp is only taken of -|x|."""
+    x = x.astype(np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def head_forward(features: np.ndarray, params: ConvParams) -> HeadOutput:

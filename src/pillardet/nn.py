@@ -1,6 +1,11 @@
 """Minimal NCHW float32 compute: conv, batchnorm, rectifier, pooling, and the
 three-branch reparameterizable block with its exact single-conv fusion.
 
+A conv is one GEMM per sample on unrolled columns (the im2col scheme of
+Caffe, Jia et al. 2014): k*k strided plane copies of the padded input fill a
+(c_in*k*k, ho*wo) matrix, and the kernel, reshaped to (c_out, c_in*k*k),
+multiplies it from the left, so the product is already the NCHW output.
+
 A rep unit trains as Conv3x3-BN + Conv1x1-BN (+ Identity-BN when shapes
 allow), with the rectifier applied after the branch sum. Fusion folds each
 BN into its branch, aligns every branch to a 3x3 kernel, and sums; fused and
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -129,20 +133,26 @@ def check_tensor(x: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Standard cross-correlation, padding k // 2; float32 in, float32 out."""
+    """Standard cross-correlation, padding k // 2; float32 in, a fresh C-contiguous float32 out."""
     x = check_tensor(x)
     n, ci, h, w = x.shape
     if ci != p.in_channels:
         raise ValidationError(f"input has {ci} channels, conv expects {p.in_channels}")
     k, pad, s = p.ksize, p.padding, p.stride
+    ho = (h + 2 * pad - k) // s + 1
+    wo = (w + 2 * pad - k) // s + 1
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    n_, _, ho, wo, _, _ = win.shape
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho, wo, ci * k * k)
-    out = cols @ p.kernel.reshape(p.out_channels, ci * k * k).T
-    out += p.bias
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    kernel = p.kernel.reshape(p.out_channels, ci * k * k)
+    cols = np.empty((ci, k, k, ho, wo), dtype=FLOAT)
+    out = np.empty((n, p.out_channels, ho * wo), dtype=FLOAT)
+    for i in range(n):
+        for ky in range(k):
+            for kx in range(k):
+                cols[:, ky, kx] = x[i, :, ky : ky + s * ho : s, kx : kx + s * wo : s]
+        np.matmul(kernel, cols.reshape(ci * k * k, ho * wo), out=out[i])
+    out += p.bias[:, None]
+    return out.reshape(n, p.out_channels, ho, wo)
 
 
 def batchnorm(x: np.ndarray, bn: BNParams) -> np.ndarray:
@@ -160,12 +170,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max pooling; spatial dims must be even."""
+    """2x2 stride-2 max pooling, as the max of the four strided quarters; spatial dims must be even."""
     x = check_tensor(x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValidationError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+    out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
+    return np.maximum(out, x[:, :, 1::2, 1::2], out=out)
 
 
 def upsample_nearest2(x: np.ndarray) -> np.ndarray:
@@ -268,8 +280,9 @@ def fuse_rep_block(b: RepBlockParams) -> ConvParams:
 
 
 def fused_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Inference-time forward of a fused unit."""
-    return relu(conv2d(x, p))
+    """Inference-time forward of a fused unit; the rectifier runs in place on the fresh conv output."""
+    out = conv2d(x, p)
+    return np.maximum(out, FLOAT(0), out=out)
 
 
 def unit_forward(x: np.ndarray, unit) -> np.ndarray:

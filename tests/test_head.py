@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 from pillardet.errors import InvariantViolation, ValidationError
 from pillardet.geometry import Box3D, bev_corners, iou_bev_with_grad, rotated_iou_bev
 from pillardet.head import (
+    BOX_CHANNELS,
     HEAD_GROUPS,
     HEATMAP_CLAMP,
     LOG_SIZE_BAND,
     Detection,
     HeadOutput,
+    _sigmoid,
     build_head,
     decode,
     head_forward,
@@ -140,6 +143,25 @@ class TestHeadConv:
         features[0, 5, 1, 2] = np.nan
         with pytest.raises(InvariantViolation, match=r"heatmap channel 0 is non-finite at cell \(row 1, col 2\)"):
             head_forward(features, params)
+
+    def test_sigmoid_matches_the_plain_formula(self):
+        x = np.concatenate([np.linspace(-700.0, 700.0, 20001), np.random.default_rng(3).normal(0.0, 8.0, 10000)])
+        plain = 1.0 / (1.0 + np.exp(-x))
+        np.testing.assert_allclose(_sigmoid(x), plain, rtol=1e-15, atol=0.0)
+
+    def test_huge_logits_do_not_warn(self):
+        n_classes, neck = 2, 4
+        kernel = np.zeros((n_classes + BOX_CHANNELS, neck, 1, 1))
+        kernel[0, 0], kernel[1, 0] = 1.0, -1.0
+        params = ConvParams(kernel, np.zeros(n_classes + BOX_CHANNELS))
+        features = np.zeros((1, neck, 2, 2), dtype=np.float32)
+        features[0, 0] = [[-5e3, -1e3], [1e3, 5e3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = head_forward(features, params)
+        lo, hi = HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP
+        np.testing.assert_array_equal(out.heatmap[0], [[lo, lo], [hi, hi]])
+        np.testing.assert_array_equal(out.heatmap[1], [[hi, hi], [lo, lo]])
 
 
 class TestRectify:

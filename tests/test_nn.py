@@ -72,6 +72,35 @@ class TestConv2d:
         assert got.shape == want.shape
         assert rel_discrepancy(got, want) < 1e-6
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stride2_on_odd_input_matches_naive_loops(self, k):
+        rng = np.random.default_rng(10 + k)
+        x = rng.normal(size=(2, 3, 7, 9)).astype(np.float32)
+        p = ConvParams(rng.normal(size=(4, 3, k, k)) * 0.3, rng.normal(size=4) * 0.1, stride=2)
+        got = conv2d(x, p)
+        want = naive_conv2d(x, p)
+        assert got.shape == want.shape == (2, 4, 4, 5)
+        assert rel_discrepancy(got, want) < 1e-6
+
+    def test_wide_columns_match_naive_loops(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(1, 16, 6, 5)).astype(np.float32)  # c_in * 9 = 144 column rows
+        p = ConvParams(rng.normal(size=(5, 16, 3, 3)) / 12.0, rng.normal(size=5) * 0.1)
+        assert rel_discrepancy(conv2d(x, p), naive_conv2d(x, p)) < 1e-6
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+    def test_output_is_a_fresh_contiguous_float32_tensor(self, k, stride):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 3, 6, 7)).astype(np.float32)
+        before = x.copy()
+        p = ConvParams(rng.normal(size=(3, 3, k, k)), rng.normal(size=3), stride=stride)
+        out = conv2d(x, p)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert not np.shares_memory(out, x)
+        # the fused forward rectifies the conv output in place, never its input
+        fused_forward(x, p)
+        np.testing.assert_array_equal(x, before)
+
     def test_output_dims(self):
         x = np.zeros((1, 1, 7, 9), dtype=np.float32)
         assert conv2d(x, ConvParams(np.zeros((1, 1, 3, 3)), np.zeros(1), stride=2)).shape == (1, 1, 4, 5)
@@ -198,6 +227,17 @@ class TestPooling:
     def test_maxpool2(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         np.testing.assert_array_equal(maxpool2(x)[0, 0], [[5.0, 7.0], [13.0, 15.0]])
+
+    def test_maxpool2_bytes_equal_reshape_max(self):
+        rng = np.random.default_rng(14)
+        specials = np.array([0.0, -0.0, np.nan, 1.0, 1.0, -2.0], dtype=np.float32)
+        x = np.where(rng.random((2, 5, 10, 14)) < 0.7,
+                     rng.choice(specials, size=(2, 5, 10, 14)),
+                     rng.normal(size=(2, 5, 10, 14))).astype(np.float32)
+        want = x.reshape(2, 5, 5, 2, 7, 2).max(axis=(3, 5))
+        got = maxpool2(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_maxpool2_odd_rejected(self):
         with pytest.raises(ValidationError):
