@@ -18,7 +18,7 @@ from . import checkpoint as ckpt
 from .backbone import count_macs, count_params
 from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D
-from .head import decode_cell, load_head_output, write_detections
+from .head import Detection, decode_cell, load_head_output
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
 from .pillars import assign_pillars, scatter
 from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, run_detect
@@ -28,57 +28,60 @@ from .profiles import BUILTIN, flops_config, load_profile
 FUSION_PROBE_BOUND = 1e-4
 
 BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw", "class")
+DETECTION_FIELDS = BOX_FIELDS + ("cls_score", "iou_score", "final_score")
 
 
-def write_boxes(boxes: list[Box3D], path) -> None:
-    lines = [",".join(BOX_FIELDS)]
-    for b in boxes:
-        vals = [repr(float(v)) for v in (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)]
-        lines.append(",".join(vals + [str(b.class_id)]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_boxes(path) -> list[Box3D]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != ",".join(BOX_FIELDS):
-        raise ValidationError(f"{path}: missing or unexpected box header")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(BOX_FIELDS):
-            raise ValidationError(f"{path}: malformed box record: {ln!r}")
-        out.append(Box3D(*(float(v) for v in parts[:7]), class_id=int(parts[7])))
-    return out
-
-
-def _emit(rows: list[dict], fmt: str, out_path: str | None, stream) -> None:
-    """Render homogeneous records as text, csv, or json-lines."""
-    if not rows:
-        text = ""
+def _emit(columns: tuple[str, ...], rows: list[tuple], fmt: str, out_path) -> None:
+    """Render rows (tuples in column order) as text, csv or json-lines, to ``out_path``
+    or stdout. A csv or text table always starts with its header."""
+    cells = [[repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row] for row in rows]
+    if fmt == "json-lines":
+        lines = [json.dumps(dict(zip(columns, row)), sort_keys=True) for row in rows]
     elif fmt == "csv":
-        cols = list(rows[0])
-        lines = [",".join(cols)]
-        lines += [",".join(_cell(r[c]) for c in cols) for r in rows]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json-lines":
-        text = "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n"
+        lines = [",".join(r) for r in (columns, *cells)]
     else:
-        widths = {c: max(len(c), *(len(_cell(r[c])) for r in rows)) for c in rows[0]}
-        lines = ["  ".join(c.ljust(widths[c]) for c in rows[0])]
-        lines += ["  ".join(_cell(r[c]).ljust(widths[c]) for c in rows[0]) for r in rows]
-        text = "\n".join(lines) + "\n"
+        widths = [max(map(len, col)) for col in zip(columns, *cells)]
+        lines = ["  ".join(c.ljust(n) for c, n in zip(r, widths)) for r in (columns, *cells)]
+    text = "".join(ln + "\n" for ln in lines)
     if out_path:
         Path(out_path).write_text(text)
     else:
-        stream.write(text)
+        sys.stdout.write(text)
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (list, tuple)):
-        return "/".join(str(x) for x in v)
-    return str(v)
+def _read_csv(path, fields: tuple[str, ...], what: str) -> list[list]:
+    """Rows of a table ``_emit`` wrote as csv: the ``class`` column as int, the rest as float."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != ",".join(fields):
+        raise ValidationError(f"{path}: missing or unexpected {what} header")
+    rows = []
+    for ln in lines[1:]:
+        try:
+            rows.append([int(v) if f == "class" else float(v) for f, v in zip(fields, ln.split(","), strict=True)])
+        except ValueError:
+            raise ValidationError(f"{path}: malformed {what} record: {ln!r}") from None
+    return rows
+
+
+def _box_row(b: Box3D) -> tuple:
+    return (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)
+
+
+def write_boxes(boxes: list[Box3D], path) -> None:
+    _emit(BOX_FIELDS, [_box_row(b) + (b.class_id,) for b in boxes], "csv", path)
+
+
+def read_boxes(path) -> list[Box3D]:
+    return [Box3D(*row) for row in _read_csv(path, BOX_FIELDS, "box")]
+
+
+def write_detections(dets: list[Detection], path) -> None:
+    rows = [_box_row(d.box) + (d.class_id, d.cls_score, d.iou_score, d.final_score) for d in dets]
+    _emit(DETECTION_FIELDS, rows, "csv", path)
+
+
+def read_detections(path) -> list[Detection]:
+    return [Detection(Box3D(*row[:8]), *row[7:]) for row in _read_csv(path, DETECTION_FIELDS, "detection")]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -125,6 +128,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pillarize(args) -> int:
+    if args.per_pillar and not args.out:
+        raise ValidationError("--per-pillar writes OUT.pillars.csv, so it needs --out")
     profile = load_profile(args.profile)
     cloud = load_cloud(args.cloud)
     if args.crop:
@@ -143,9 +148,8 @@ def cmd_pillarize(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
-    if args.per_pillar and args.out:
-        rows = [{"ix": p.ix, "iy": p.iy, "count": p.count} for p in pillars]
-        _emit(rows, "csv", str(args.out) + ".pillars.csv", sys.stdout)
+    if args.per_pillar:
+        _emit(("ix", "iy", "count"), [(p.ix, p.iy, p.count) for p in pillars], "csv", str(args.out) + ".pillars.csv")
     return 0
 
 
@@ -156,18 +160,11 @@ def cmd_encode(args) -> int:
         params, _ = _load_params(args.checkpoint, profile)
     else:
         params = ckpt.new_params(profile.arch(), mode="identity")
-    rows = []
-    for p, feat in encode_pillars(cloud, params, profile):
-        rows.append(
-            {
-                "ix": p.ix,
-                "iy": p.iy,
-                "count": p.count,
-                "feature_l2": float(np.linalg.norm(feat)),
-                "feature_max": float(feat.max()) if feat.size else 0.0,
-            }
-        )
-    _emit(rows, args.format, args.out, sys.stdout)
+    rows = [
+        (p.ix, p.iy, p.count, float(np.linalg.norm(feat)), float(feat.max()))
+        for p, feat in encode_pillars(cloud, params, profile)
+    ]
+    _emit(("ix", "iy", "count", "feature_l2", "feature_max"), rows, args.format, args.out)
     return 0
 
 
@@ -197,18 +194,11 @@ def cmd_flops(args) -> int:
         cfg = flops_config(ratios, profile)
         mac = count_macs(cfg)
         par = count_params(cfg)
-        rows.append(
-            {
-                "ratio": "-".join(str(b) for b in ratios),
-                "blocks": sum(ratios),
-                "gmacs": mac.total / 1e9,
-                "slope_gmacs_per_block": mac.per_block[0] / 1e9,
-                "params_m": par.total / 1e6,
-                "input_hw": f"{cfg.input_hw[0]}x{cfg.input_hw[1]}",
-            }
-        )
-    _emit(rows, args.format, args.out, sys.stdout)
-    totals = {r["ratio"]: r["gmacs"] for r in rows}
+        hw = f"{cfg.input_hw[0]}x{cfg.input_hw[1]}"
+        rows.append(("-".join(map(str, ratios)), sum(ratios), mac.total / 1e9, mac.per_block[0] / 1e9,
+                     par.total / 1e6, hw))
+    _emit(("ratio", "blocks", "gmacs", "slope_gmacs_per_block", "params_m", "input_hw"), rows, args.format, args.out)
+    totals = {ratio: gmacs for ratio, _, gmacs, *_ in rows}
     if "6-6-3-1" in totals and "3-4-6-3" in totals:
         print(f"equal-16-block totals: {totals['6-6-3-1'] == totals['3-4-6-3']}")
     return 0
@@ -243,16 +233,8 @@ def cmd_bench(args) -> int:
                 samples[k].append(v * 1e3)
         for stage, vals in samples.items():
             arr = np.array(vals)
-            rows.append(
-                {
-                    "points": size,
-                    "stage": stage,
-                    "p50": float(np.percentile(arr, 50)),
-                    "p90": float(np.percentile(arr, 90)),
-                    "mean": float(arr.mean()),
-                }
-            )
-    _emit(rows, args.format, args.out, sys.stdout)
+            rows.append((size, stage, float(np.percentile(arr, 50)), float(np.percentile(arr, 90)), float(arr.mean())))
+    _emit(("points", "stage", "p50", "p90", "mean"), rows, args.format, args.out)
     return 0
 
 
@@ -315,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt=True):
         p.add_argument("--profile", default="desk", help=f"built-in {sorted(BUILTIN)} or a JSON file")
-        p.add_argument("--seed", type=int, default=0)
         if fmt:
             p.add_argument("--format", choices=("text", "csv", "json-lines"), default="text")
             p.add_argument("--out", default=None)
 
     p = sub.add_parser("generate", help="write a synthetic scene (cloud + boxes)")
     common(p, fmt=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--objects", type=int, default=4)
     p.add_argument("--points-per-object", type=int, default=120)
     p.add_argument("--background", type=int, default=400)
@@ -343,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("fuse", help="fuse a train-mode checkpoint; verify equivalence")
-    common(p, fmt=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("checkpoint_in")
     p.add_argument("checkpoint_out")
     p.add_argument("--probes", type=int, default=8)
@@ -364,12 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-stage wall-clock percentiles")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", type=_int_list, default="2000")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train-step", help="loss breakdown diagnostic on a scene")
     common(p, fmt=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cloud", required=True)
     p.add_argument("--boxes", required=True)
     p.add_argument("--checkpoint", default=None)
@@ -378,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", help="write a fresh train-mode checkpoint")
     common(p, fmt=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("random", "identity"), default="random")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init)

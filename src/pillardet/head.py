@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -250,41 +249,6 @@ def head_forward(features: np.ndarray, params: ConvParams) -> HeadOutput:
         return HeadOutput(**groups)
     except ValidationError as e:
         raise InvariantViolation(f"head conv output: {e}") from e
-
-
-DETECTION_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw", "class", "cls_score", "iou_score", "final_score")
-
-
-def format_detection(d: Detection) -> str:
-    vals = (
-        d.box.cx, d.box.cy, d.box.cz, d.box.l, d.box.w, d.box.h, d.box.yaw,
-        d.class_id, d.cls_score, d.iou_score, d.final_score,
-    )
-    return ",".join(str(int(v)) if name == "class" else repr(float(v)) for name, v in zip(DETECTION_FIELDS, vals))
-
-
-def write_detections(dets: list[Detection], path) -> None:
-    lines = [",".join(DETECTION_FIELDS)]
-    lines += [format_detection(d) for d in dets]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_detections(path) -> list[Detection]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != ",".join(DETECTION_FIELDS):
-        raise ValidationError(f"{path}: missing or unexpected detection header")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(DETECTION_FIELDS):
-            raise ValidationError(f"{path}: malformed detection record: {ln!r}")
-        cx, cy, cz, l, w, h, yaw = (float(v) for v in parts[:7])
-        cls = int(parts[7])
-        cls_score, iou_score, final_score = (float(v) for v in parts[8:])
-        out.append(
-            Detection(Box3D(cx, cy, cz, l, w, h, yaw, cls), cls, cls_score, iou_score, final_score)
-        )
-    return out
 
 
 def save_head_output(out: HeadOutput, path) -> None:

@@ -138,14 +138,18 @@ def scatter(pillar_features, cfg: GridConfig, dim: int | None = None) -> BEVCanv
     """Place one feature vector per pillar on a zeroed canvas.
 
     Cells not covered by a pillar stay exactly zero; duplicate cells are
-    rejected. ``dim`` sizes an empty canvas when no pillars are given.
+    rejected. ``dim``, when given, is the feature width: it sizes an empty
+    canvas, and the features must agree with it.
     """
     items = list(pillar_features)
     if items:
         dims = {int(np.asarray(f).shape[0]) for _, f in items}
         if len(dims) != 1:
             raise ValidationError(f"feature vectors disagree on width: {sorted(dims)}")
-        (dim,) = dims
+        (width,) = dims
+        if dim not in (None, width):
+            raise ValidationError(f"feature width {width} disagrees with dim={dim}")
+        dim = width
     elif dim is None:
         raise ValidationError("empty scatter needs an explicit feature dim")
     data = np.zeros((1, dim, cfg.ny, cfg.nx), dtype=np.float32)

@@ -226,7 +226,6 @@ class SceneSpec:
     width_range: tuple[float, float] = (1.2, 2.4)
     height_range: tuple[float, float] = (1.2, 2.2)
     n_classes: int = 3
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.n_objects < 0 or self.n_background < 0:
@@ -262,8 +261,6 @@ def generate_scene(spec: SceneSpec, seed: int) -> tuple[PointCloud, list[Box3D]]
         # inset from the faces so float32 storage cannot push points outside
         lim = 0.5 * np.array([l, w, h]) * (1.0 - 1e-4)
         local = rng.uniform(-1.0, 1.0, size=(spec.points_per_object, 3)) * lim
-        if spec.jitter > 0.0:
-            local = np.clip(local + rng.normal(0.0, spec.jitter, size=local.shape), -lim, lim)
         c, s = math.cos(yaw), math.sin(yaw)
         pts = np.empty((spec.points_per_object, RECORD_FIELDS))
         pts[:, 0] = center[0] + c * local[:, 0] - s * local[:, 1]

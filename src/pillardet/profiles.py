@@ -43,6 +43,7 @@ class Profile:
     loss_weights: LossWeights
 
     def __post_init__(self):
+        self.arch()  # the network shape is checked when the profile is built
         if self.canvas_reduction not in (1, 2):
             raise ValidationError("canvas_reduction must be 1 or 2")
         for v, name in ((self.nms_iou, "nms_iou"), (self.rectify_alpha, "rectify_alpha")):

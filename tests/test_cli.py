@@ -1,18 +1,21 @@
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pillardet.cli import main, read_boxes, write_boxes
+from pillardet.cli import DETECTION_FIELDS, build_parser, main, read_boxes, read_detections, write_boxes
 from pillardet.geometry import Box3D
-from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, read_detections, save_head_output
+from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, save_head_output
 from pillardet.losses import render_gaussian_targets
 from pillardet.pillars import assign_pillars
 from pillardet.pipeline import head_output_from_targets
 from pillardet.pointcloud import PointCloud, crop_to_range, load_cloud, save_cloud
 from pillardet.profiles import DESK
+from test_pipeline import DESK_PROFILE_JSON
 
 
 @pytest.fixture
@@ -75,6 +78,13 @@ class TestPillarize:
         assert rc == 1
         assert "point 1" in capsys.readouterr().err
 
+    def test_per_pillar_without_out_exit_one(self, scene, capsys):
+        assert main(["pillarize", "--profile", "desk", "--cloud", str(scene), "--per-pillar"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--out" in err[0]
+
 
 class TestEncode:
     def test_writes_feature_rows(self, scene, tmp_path):
@@ -85,6 +95,18 @@ class TestEncode:
         cloud = crop_to_range(load_cloud(scene), DESK.grid.range)
         assert len(lines) - 1 == len(assign_pillars(cloud, DESK.grid))
         assert lines[0] == "ix,iy,count,feature_l2,feature_max"
+
+    @pytest.mark.parametrize("fmt,text", [
+        ("csv", "ix,iy,count,feature_l2,feature_max\n"),
+        ("text", "ix  iy  count  feature_l2  feature_max\n"),
+        ("json-lines", ""),
+    ], ids=["csv", "text", "json-lines"])
+    def test_zero_rows_keep_the_header(self, tmp_path, fmt, text):
+        cloud = tmp_path / "empty.bin"
+        save_cloud(PointCloud(np.zeros((0, 5))), cloud)
+        out = tmp_path / "feats.txt"
+        assert main(["encode", "--profile", "desk", "--cloud", str(cloud), "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == text
 
 
 class TestFuse:
@@ -174,6 +196,14 @@ class TestDetect:
                          "--checkpoint", str(train_ckpt), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_detections_keep_the_header(self, tmp_path, train_ckpt):
+        p = tmp_path / "empty.bin"
+        save_cloud(PointCloud(np.zeros((0, 5))), p)
+        out = tmp_path / "dets.csv"
+        assert main(["detect", "--profile", "desk", "--cloud", str(p),
+                     "--checkpoint", str(train_ckpt), "--out", str(out)]) == 0
+        assert out.read_text() == ",".join(DETECTION_FIELDS) + "\n"
+
     def test_profile_mismatch_rejected(self, scene, train_ckpt, tmp_path):
         rc = main(["detect", "--profile", "waymo", "--cloud", str(scene),
                    "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "x.csv")])
@@ -248,6 +278,14 @@ class TestBoxRecords:
         write_boxes(boxes, p)
         assert read_boxes(p) == boxes
 
+    @pytest.mark.parametrize("record", ["1,2,0.3,2,1,1.5,0.4", "1,2,0.3,2,1,1.5,0.4,car", "1,x,0.3,2,1,1.5,0.4,0"],
+                             ids=["short", "bad-class", "bad-float"])
+    def test_malformed_record_exit_one(self, scene, tmp_path, capsys, record):
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text("cx,cy,cz,l,w,h,yaw,class\n" + record + "\n")
+        assert main(["train-step", "--profile", "desk", "--cloud", str(scene), "--boxes", str(boxes)]) == 1
+        assert "malformed box record" in capsys.readouterr().err
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
@@ -260,6 +298,24 @@ class TestInputErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--seed", "1", "--cloud", "c.bin", "--checkpoint", "c.json", "--out", "d.csv"],
+        ["fuse", "--profile", "desk", "a.json", "b.json"],
+    ], ids=["detect-seed", "fuse-profile"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unrecognized arguments" in err[0]
+
+    @pytest.mark.parametrize("command", ["generate", "pillarize"])
+    def test_profile_with_bad_network_shape_exit_one_at_load(self, scene, tmp_path, capsys, command):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(dict(DESK_PROFILE_JSON, stage_channels=[64, 100, 256, 512])))
+        io = ["--out", str(tmp_path / "new.bin")] if command == "generate" else ["--cloud", str(scene)]
+        assert main([command, "--profile", str(profile), *io]) == 1
+        assert "stage_channels must double" in capsys.readouterr().err
+        assert not (tmp_path / "new.bin").exists()
 
     def test_truncated_stage_blocks_manifest_exit_one(self, scene, train_ckpt, tmp_path, capsys):
         manifest = json.loads(train_ckpt.read_text())
@@ -277,3 +333,12 @@ def test_bench_times_the_fused_network(monkeypatch):
     monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, times: modes.append(params.mode))
     assert main(["bench", "--profile", "desk", "--sizes", "50", "--repeats", "2"]) == 0
     assert modes == ["fused", "fused"]
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("pillardet ")]
+    assert lines
+    for ln in lines:
+        build_parser().parse_args(shlex.split(ln)[1:])

@@ -30,7 +30,7 @@ def outputs(tmp_path_factory):
     assert main(["generate", "--profile", "desk", "--seed", "3", "--objects", "3", "--out", str(scene)]) == 0
     assert main(["init", "--profile", "desk", "--seed", "1", "--out", str(ckpt)]) == 0
     assert main(["init", "--profile", "desk", "--mode", "identity", "--out", str(ident)]) == 0
-    assert main(["fuse", "--profile", "desk", str(ckpt), str(fused)]) == 0
+    assert main(["fuse", str(ckpt), str(fused)]) == 0
     targets = render_gaussian_targets(read_boxes(str(scene) + ".boxes.csv"), DESK.grid, DESK.out_stride, DESK.n_classes)
     head = d / "head.npz"
     save_head_output(head_output_from_targets(targets), head)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pillardet.cli import read_detections, write_detections
 from pillardet.errors import InvariantViolation, ValidationError
 from pillardet.geometry import Box3D, bev_corners, iou_bev_with_grad, rotated_iou_bev
 from pillardet.head import (
@@ -23,10 +24,8 @@ from pillardet.head import (
     head_forward,
     head_map_hw,
     nms,
-    read_detections,
     rectify_detections,
     rectify_score,
-    write_detections,
 )
 from pillardet.nn import ConvParams, conv2d
 from pillardet.pillars import GridConfig

@@ -161,6 +161,12 @@ class TestScatter:
         with pytest.raises(ValidationError, match="width"):
             scatter(items, GRID)
 
+    def test_dim_disagreeing_with_the_features_rejected(self):
+        items = [(Pillar(0, 0, np.array([0])), np.zeros(16))]
+        with pytest.raises(ValidationError, match="dim=8"):
+            scatter(items, GRID, dim=8)
+        assert scatter(items, GRID, dim=16).data.shape == (1, 16, 8, 8)
+
     def test_conservation(self):
         rng = np.random.default_rng(3)
         cells = [(ix, iy) for ix in range(8) for iy in range(8)]
