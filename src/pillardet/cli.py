@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, pillarize, encode, fuse, flops, detect, bench,
-train-step. Exit codes: 0 success, 1 validation error, 2 internal invariant
-violation. All randomness is confined to explicit --seed flags.
+train-step. Exit codes: 0 success, 1 validation or file-system error, 2
+internal invariant violation. All randomness is confined to explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import checkpoint as ckpt
 from .backbone import count_macs, count_params
 from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D
-from .head import Detection, decode_cell, load_head_output
+from .head import Detection, decode_cells, load_head_output
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
 from .pillars import assign_pillars, scatter
 from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, run_detect
@@ -169,6 +169,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.probes < 1:
+        raise ValidationError(f"--probes must be >= 1, got {args.probes}")
     params, arch, mode = ckpt.load_checkpoint(args.checkpoint_in)
     if mode != "train":
         raise ValidationError("fusion needs a train-mode checkpoint")
@@ -255,10 +257,9 @@ def cmd_train_step(args) -> int:
     reg_loss, _ = reg_l1_loss(out.reg[:, m], targets.reg[:, m])
     iou_loss, _ = iou_branch_loss(out.iou[:, m], targets.iou[:, m])
     # regression-branch box overlap term, on the decoded center cells
-    diou_vals = [
-        diou_loss(decode_cell(out, profile.grid, profile.out_stride, row, col), gt)[0]
-        for (row, col, _cls), gt in zip(targets.centers, boxes)
-    ]
+    rows, cols, classes = np.array(targets.centers, dtype=np.intp).reshape(-1, 3).T
+    pred = decode_cells(out, profile.grid, profile.out_stride, rows, cols, classes)
+    diou_vals = [diou_loss(p, gt)[0] for p, gt in zip(pred, boxes)]
     diou_val = float(np.mean(diou_vals)) if diou_vals else 0.0
     total = total_loss(cls_loss, iou_loss, diou_val, reg_loss, profile.loss_weights)
     breakdown = {
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InvariantViolation as e:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -137,36 +138,27 @@ def decode(
     """
     peaks = _local_peaks(out.heatmap) & (out.heatmap > score_thresh)
     cls_idx, rows, cols = np.nonzero(peaks)
-    if cls_idx.size == 0:
-        return []
     scores = out.heatmap[cls_idx, rows, cols]
     order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
-
-    dets = []
-    for i in order:
-        c, r, col = int(cls_idx[i]), int(rows[i]), int(cols[i])
-        iou_score = float(min(max((out.iou[0, r, col] + 1.0) / 2.0, 0.0), 1.0))
-        cls_score = float(scores[i])
-        dets.append(
-            Detection(
-                box=decode_cell(out, grid, out_stride, r, col, c),
-                class_id=c,
-                cls_score=cls_score,
-                iou_score=iou_score,
-                final_score=cls_score,
-            )
-        )
-    return dets
+    cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
+    iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
+    boxes = decode_cells(out, grid, out_stride, rows, cols, cls_idx)
+    return [
+        Detection(box=box, class_id=c, cls_score=s, iou_score=i, final_score=s)
+        for box, c, s, i in zip(boxes, cls_idx.tolist(), scores.tolist(), iou_scores.tolist())
+    ]
 
 
-def decode_cell(out: HeadOutput, grid: GridConfig, out_stride: int, row: int, col: int, class_id: int = 0) -> Box3D:
-    """The world-frame box the regression channels of one head cell encode;
-    log-sizes are clamped to ``LOG_SIZE_BAND``."""
-    cx = grid.range.x_min + (col + 0.5 + out.offset[0, row, col]) * (out_stride * grid.pillar_x)
-    cy = grid.range.y_min + (row + 0.5 + out.offset[1, row, col]) * (out_stride * grid.pillar_y)
-    l, w, h = np.exp(np.clip(out.size[:, row, col], *LOG_SIZE_BAND))
-    yaw = math.atan2(out.yaw[0, row, col], out.yaw[1, row, col])
-    return Box3D(cx, cy, float(out.z[0, row, col]), float(l), float(w), float(h), normalize_yaw(yaw), class_id)
+def decode_cells(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> list[Box3D]:
+    """The world-frame boxes the regression channels of head cells (rows[i], cols[i])
+    encode, each with class_ids[i]; log-sizes are clamped to ``LOG_SIZE_BAND``."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    cx = grid.range.x_min + (cols + 0.5 + out.offset[0, rows, cols]) * (out_stride * grid.pillar_x)
+    cy = grid.range.y_min + (rows + 0.5 + out.offset[1, rows, cols]) * (out_stride * grid.pillar_y)
+    columns = (cx, cy, out.z[0, rows, cols], *np.exp(np.clip(out.size[:, rows, cols], *LOG_SIZE_BAND)))
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
+    yaws = [normalize_yaw(math.atan2(s, c)) for s, c in zip(*out.yaw[:, rows, cols].tolist())]
+    return [Box3D(*f, yaw, int(k)) for *f, yaw, k in zip(*(c.tolist() for c in columns), yaws, class_ids)]
 
 
 def rectify_score(cls_score: float, iou_score: float, alpha: float) -> float:
@@ -192,27 +184,30 @@ def rectify_detections(dets: list[Detection], alpha) -> list[Detection]:
 def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list[Detection]:
     """Greedy suppression by descending final score using rotated BEV IoU.
 
-    ``iou_thresh`` is a scalar or per-class sequence (ignored across classes
-    unless class_agnostic). Ties are broken by input order, which makes the
-    result deterministic.
+    ``iou_thresh`` is a scalar or per-class sequence in [0, 1] (ignored across
+    classes unless class_agnostic). Ties are broken by input order, which makes
+    the result deterministic. IoU is evaluated only for pairs whose
+    circumscribed circles touch: the clip of two boxes farther apart leaves no
+    polygon, so their IoU is exactly 0 and exceeds no threshold.
     """
+    thresh = np.asarray(iou_thresh, dtype=np.float64)
+    if not np.all((thresh >= 0.0) & (thresh <= 1.0)):
+        raise ValidationError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].final_score, i))
-    kept: list[int] = []
-    for i in order:
-        d = dets[i]
-        thresh = float(iou_thresh if np.isscalar(iou_thresh) else iou_thresh[d.class_id])
-        suppressed = False
-        for j in kept:
-            kd = dets[j]
-            if not class_agnostic and kd.class_id != d.class_id:
-                continue
-            if rotated_iou_bev(kd.box, d.box) > thresh:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(i)
-    kept.sort()
-    return [dets[i] for i in kept]
+    boxes = [dets[i].box for i in order]
+    classes = [dets[i].class_id for i in order]
+    cx, cy, l, w = np.array([(b.cx, b.cy, b.l, b.w) for b in boxes]).reshape(-1, 4).T
+    radius = np.hypot(l, w) / 2.0
+    # the slack keeps touching circles in the mask whatever the rounding
+    can_overlap = np.hypot(cx[:, None] - cx, cy[:, None] - cy) <= (radius[:, None] + radius) * (1.0 + 1e-9)
+    if not class_agnostic:
+        can_overlap &= np.equal.outer(classes, classes)
+    kept = np.zeros(len(order), dtype=bool)
+    for p, box in enumerate(boxes):
+        t = float(thresh if thresh.ndim == 0 else thresh[classes[p]])
+        rivals = np.flatnonzero(kept[:p] & can_overlap[p, :p])
+        kept[p] = not any(rotated_iou_bev(boxes[q], box) > t for q in rivals)
+    return [dets[i] for i in sorted(compress(order, kept))]
 
 
 # keeps the classification map near zero on empty input

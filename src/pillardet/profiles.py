@@ -47,8 +47,11 @@ class Profile:
         if self.canvas_reduction not in (1, 2):
             raise ValidationError("canvas_reduction must be 1 or 2")
         for v, name in ((self.nms_iou, "nms_iou"), (self.rectify_alpha, "rectify_alpha")):
-            if not isinstance(v, (int, float)) and len(v) != self.n_classes:
+            scalar = isinstance(v, (int, float))
+            if not scalar and len(v) != self.n_classes:
                 raise ValidationError(f"per-class {name} needs {self.n_classes} entries")
+            if not all(0.0 <= x <= 1.0 for x in ((v,) if scalar else v)):
+                raise ValidationError(f"{name} values must lie in [0, 1], got {v}")
 
     @property
     def out_stride(self) -> int:

@@ -128,6 +128,13 @@ class TestFuse:
         report = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert report["max_relative_discrepancy"] == 0.0
 
+    def test_zero_probes_is_a_usage_error(self, train_ckpt, tmp_path, capsys):
+        out = tmp_path / "fused.json"
+        assert main(["fuse", str(train_ckpt), str(out), "--probes", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--probes" in err[0]
+        assert not out.exists()
+
     def test_corrupted_manifest_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -298,6 +305,20 @@ class TestInputErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["train-step", "generate", "encode", "fuse"])
+    def test_file_system_error_is_one_error_line_exit_one(self, scene, train_ckpt, tmp_path, capsys, command):
+        missing = tmp_path / "nothere" / "x"
+        argv = {
+            "train-step": ["train-step", "--profile", "desk", "--cloud", str(scene), "--boxes", str(missing)],
+            "generate": ["generate", "--profile", "desk", "--out", str(missing)],
+            "encode": ["encode", "--profile", "desk", "--cloud", str(scene), "--format", "csv", "--out", str(missing)],
+            "fuse": ["fuse", str(train_ckpt), str(missing)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "No such file or directory" in err[0]
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "1", "--cloud", "c.bin", "--checkpoint", "c.json", "--out", "d.csv"],

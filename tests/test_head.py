@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from pillardet.cli import read_detections, write_detections
 from pillardet.errors import InvariantViolation, ValidationError
-from pillardet.geometry import Box3D, bev_corners, iou_bev_with_grad, rotated_iou_bev
+from pillardet.geometry import Box3D, bev_corners, iou_bev_with_grad, normalize_yaw, rotated_iou_bev
 from pillardet.head import (
     BOX_CHANNELS,
     HEAD_GROUPS,
@@ -21,6 +21,7 @@ from pillardet.head import (
     _sigmoid,
     build_head,
     decode,
+    decode_cells,
     head_forward,
     head_map_hw,
     nms,
@@ -370,6 +371,28 @@ def test_finite_head_output_decodes_to_in_band_boxes(out):
         assert d.box.bev_area() > 0.0
 
 
+def scalar_decode_cell(out, grid, out_stride, row, col, class_id):
+    """One head cell decoded with per-cell indexing: the reference for ``decode_cells``."""
+    cx = grid.range.x_min + (col + 0.5 + out.offset[0, row, col]) * (out_stride * grid.pillar_x)
+    cy = grid.range.y_min + (row + 0.5 + out.offset[1, row, col]) * (out_stride * grid.pillar_y)
+    l, w, h = np.exp(np.clip(out.size[:, row, col], *LOG_SIZE_BAND))
+    yaw = math.atan2(out.yaw[0, row, col], out.yaw[1, row, col])
+    return Box3D(cx, cy, float(out.z[0, row, col]), float(l), float(w), float(h), normalize_yaw(yaw), class_id)
+
+
+def box_bits(box):
+    return tuple(float(v).hex() for v in (box.cx, box.cy, box.cz, box.l, box.w, box.h, box.yaw)) + (box.class_id,)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(head_strategy, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)), max_size=12))
+def test_decode_cells_equals_per_cell_decode_bitwise(out, cells):
+    rows, cols, classes = (list(v) for v in zip(*cells)) if cells else ([], [], [])
+    got = decode_cells(out, GRID, STRIDE, rows, cols, classes)
+    want = [scalar_decode_cell(out, GRID, STRIDE, r, c, k) for r, c, k in cells]
+    assert [box_bits(b) for b in got] == [box_bits(b) for b in want]
+
+
 def naive_nms(dets, iou_thresh, class_agnostic):
     """Quadratic reference: explicit suppression table."""
     n = len(dets)
@@ -448,6 +471,82 @@ class TestNMS:
         dets = random_detections(rng, 15)
         kept = nms(dets, 0.4)
         assert all(d in dets for d in kept)
+
+
+def detections_at(rng, centers, n_classes=3):
+    """One car-sized detection per centre, with random size, heading, class and score."""
+    dets = []
+    for cx, cy in centers:
+        k = int(rng.integers(n_classes))
+        box = Box3D(cx, cy, 0.0, rng.uniform(2.0, 5.0), rng.uniform(1.2, 2.4), 1.5, rng.uniform(-math.pi, math.pi), k)
+        score = float(rng.uniform(0.2, 1.0))
+        dets.append(Detection(box, k, score, 0.5, score))
+    return dets
+
+
+def crowded_detections(rng, n=150, half_range=54.0, n_clusters=6):
+    """Boxes spread over a nuscenes-sized range plus tight clusters that overlap."""
+    centers = list(rng.uniform(-half_range, half_range, (n - 5 * n_clusters, 2)))
+    for c in rng.uniform(-half_range, half_range, (n_clusters, 2)):
+        centers.extend(c + rng.normal(0.0, 0.8, (5, 2)))
+    return detections_at(rng, centers)
+
+
+def count_iou_calls(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return rotated_iou_bev(a, b)
+
+    monkeypatch.setattr("pillardet.head.rotated_iou_bev", counting)
+    return calls
+
+
+class TestNMSOverlapMask:
+    # per-class thresholds only where classes never meet: across classes, nms takes the
+    # candidate's threshold and naive_nms the kept box's
+    @pytest.mark.parametrize("class_agnostic,thresh", [
+        (False, 0.0), (False, 0.2), (False, (0.1, 0.5, 0.8)), (False, 1.0), (True, 0.0), (True, 0.2), (True, 1.0),
+    ])
+    def test_crowded_scene_matches_naive_reference(self, class_agnostic, thresh):
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            dets = crowded_detections(rng)
+            assert nms(dets, thresh, class_agnostic) == [dets[i] for i in naive_nms(dets, thresh, class_agnostic)]
+
+    @pytest.mark.parametrize("gap", [-1e-6, -1e-12, 0.0, 1e-12, 1e-6])
+    @pytest.mark.parametrize("x0", [0.0, 50.0])
+    def test_corner_to_corner_boxes_at_tangent_circles(self, gap, x0):
+        # each box's diagonal lies on the x axis, so the corners meet where the circles do
+        l, w = 3.0, 4.0
+        yaw = -math.atan2(w, l)
+        a = Box3D(x0, 0.0, 0.0, l, w, 1.0, yaw)
+        b = Box3D(x0 + math.hypot(l, w) + gap, 0.0, 0.0, l, w, 1.0, yaw)
+        dets = [Detection(a, 0, 0.9, 0.5, 0.9), Detection(b, 0, 0.8, 0.5, 0.8)]
+        assert nms(dets, 0.0) == [dets[i] for i in naive_nms(dets, 0.0, False)]
+        if gap < -1e-9:
+            assert nms(dets, 0.0) == dets[:1]
+
+    def test_boxes_far_apart_evaluate_no_iou(self, monkeypatch):
+        # circumscribed radii are below 2.8 m, so centres 10 m apart never touch
+        xs, ys = np.meshgrid(np.arange(-50.0, 51.0, 10.0), np.arange(-50.0, 51.0, 10.0))
+        dets = detections_at(np.random.default_rng(12), zip(xs.ravel(), ys.ravel()))
+        calls = count_iou_calls(monkeypatch)
+        assert nms(dets, 0.0, class_agnostic=True) == dets
+        assert calls == []
+
+    def test_overlapping_pairs_are_still_evaluated(self, monkeypatch):
+        dets = crowded_detections(np.random.default_rng(13))
+        calls = count_iou_calls(monkeypatch)
+        nms(dets, 0.2, class_agnostic=True)
+        assert 0 < len(calls) < len(dets)
+
+    @pytest.mark.parametrize("thresh", [-0.5, 1.5, float("nan"), (0.5, 1.2, 0.5)])
+    def test_threshold_outside_unit_interval_rejected(self, thresh):
+        dets = random_detections(np.random.default_rng(14), 4)
+        with pytest.raises(ValidationError, match="NMS IoU threshold"):
+            nms(dets, thresh)
 
 
 class TestDetectionRecords:

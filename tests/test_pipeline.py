@@ -156,6 +156,29 @@ class TestProfiles:
             with pytest.raises(ValidationError, match="x_min" if key == "range" else key):
                 load_profile(str(p))
 
+    @pytest.mark.parametrize("key,value,ok", [
+        ("nms_iou", -0.5, False),
+        ("nms_iou", 1.5, False),
+        ("nms_iou", [0.5, 1.2, 0.5], False),
+        ("rectify_alpha", 2.0, False),
+        ("rectify_alpha", [0.5, -0.1, 0.5], False),
+        ("nms_iou", [0.0, 1.0, 0.5], True),
+        ("rectify_alpha", 1, True),
+        ("rectify_alpha", 0.0, True),
+    ])
+    def test_thresholds_and_exponents_lie_in_unit_interval(self, tmp_path, key, value, ok):
+        import json
+
+        from pillardet.errors import ValidationError
+
+        p = tmp_path / "profile.json"
+        p.write_text(json.dumps(dict(DESK_PROFILE_JSON, **{key: value})))
+        if ok:
+            assert load_profile(str(p)).name == "desk-file"
+        else:
+            with pytest.raises(ValidationError, match=f"{key} values must lie in \\[0, 1\\]"):
+                load_profile(str(p))
+
     def test_file_profiles_in_the_repo_load(self):
         from pathlib import Path
 
