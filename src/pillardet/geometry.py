@@ -55,15 +55,27 @@ class Box3D:
 _CORNER_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
+def _corners(box: Box3D) -> list[tuple[float, float]]:
+    """The four BEV footprint corners as (x, y) float pairs, in ``_CORNER_SIGNS`` order.
+
+    Corner (sx, sy) is center + R(yaw) (sx l/2, sy w/2); a sign flips a product
+    exactly, so each corner is the same float as with the signs multiplied in.
+    """
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hl, hw = box.l / 2.0, box.w / 2.0
+    cl, sl, cw, sw = c * hl, s * hl, c * hw, s * hw
+    x, y = box.cx, box.cy
+    return [
+        (x + cl - sw, y + sl + cw),
+        (x - cl - sw, y - sl + cw),
+        (x - cl + sw, y - sl - cw),
+        (x + cl + sw, y + sl - cw),
+    ]
+
+
 def bev_corners(box: Box3D) -> np.ndarray:
     """Return the four BEV footprint corners, CCW, shape (4, 2)."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    out = np.empty((4, 2))
-    for i, (sx, sy) in enumerate(_CORNER_SIGNS):
-        dx, dy = sx * box.l / 2.0, sy * box.w / 2.0
-        out[i, 0] = box.cx + c * dx - s * dy
-        out[i, 1] = box.cy + s * dx + c * dy
-    return out
+    return np.array(_corners(box))
 
 
 def points_in_box(xyz: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarray:
@@ -81,25 +93,38 @@ def points_in_box(xyz: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarray:
     )
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area; positive for CCW vertex order."""
-    if len(poly) < 3:
+def _polygon_area(pts) -> float:
+    """Shoelace area of (x, y) float pairs, positive for CCW order.
+
+    The terms are summed in the order ``np.sum`` uses (sequential below 8 terms,
+    pairwise at 8), so the area is bitwise that of the array formula.
+    """
+    if len(pts) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    terms = [p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])]
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+    elif len(terms) == 8:
+        t0, t1, t2, t3, t4, t5, t6, t7 = terms
+        total = 0.0 + (((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)))
+    else:  # rounding can leave more vertices than two convex quads make
+        total = float(np.sum(terms))
+    return 0.5 * total
 
 
 def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex CCW subject by a convex CCW clip polygon."""
-    poly = [(subject[i], None) for i in range(len(subject))]
-    poly = _clip_tracked(poly, clip)
+    poly = _clip_tracked([(tuple(p), None) for p in subject.tolist()], clip.tolist())
     if not poly:
         return np.zeros((0, 2))
     return np.array([p for p, _ in poly])
 
 
 def _clip_tracked(poly, clip):
-    """Clip a list of (point, jacobian-or-None) vertices by each CCW clip edge.
+    """Clip a list of ((x, y), jacobian-or-None) vertices by each edge of a CCW
+    list of (x, y) clip vertices.
 
     Jacobians are 2x5 derivatives of the vertex position w.r.t. the subject
     box parameters (cx, cy, l, w, yaw), given for every vertex or for none;
@@ -107,47 +132,48 @@ def _clip_tracked(poly, clip):
     """
     n_clip = len(clip)
     for e in range(n_clip):
-        if not poly:
-            return []
-        a = clip[e]
-        b = clip[(e + 1) % n_clip]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-
-        def side(p):
-            return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
-
-        def side_jac(jac):
-            return ex * jac[1] - ey * jac[0]
-
+        ax, ay = clip[e]
+        bx, by = clip[(e + 1) % n_clip]
+        ex, ey = bx - ax, by - ay
+        sides = [ex * (y - ay) - ey * (x - ax) for (x, y), _ in poly]
         out = []
         n = len(poly)
         for i in range(n):
-            p, jp = poly[i]
-            q, jq = poly[(i + 1) % n]
-            sp, sq = side(p), side(q)
+            sp = sides[i]
             if sp >= 0.0:
-                out.append((p, jp))
+                out.append(poly[i])
+            sq = sides[(i + 1) % n]
             if (sp >= 0.0) != (sq >= 0.0):
+                (p, jp), (q, jq) = poly[i], poly[(i + 1) % n]
                 denom = sp - sq
                 t = sp / denom
+                dx, dy = q[0] - p[0], q[1] - p[1]
                 jac = None
                 if jp is not None:
-                    dt = (-sq * side_jac(jp) + sp * side_jac(jq)) / (denom * denom)
-                    jac = jp + t * (jq - jp) + np.outer(q - p, dt)
-                out.append((p + t * (q - p), jac))
+                    side_jp = ex * jp[1] - ey * jp[0]
+                    side_jq = ex * jq[1] - ey * jq[0]
+                    dt = (-sq * side_jp + sp * side_jq) / (denom * denom)
+                    jac = jp + t * (jq - jp) + np.outer((dx, dy), dt)
+                out.append(((p[0] + t * dx, p[1] + t * dy), jac))
+        if not out:
+            return []
         poly = out
     return poly
 
 
 def _check_boxes(a: Box3D, b: Box3D):
-    if a.bev_area() <= 0.0 or b.bev_area() <= 0.0:
-        raise ValidationError("degenerate zero-area box")
+    for name, box in (("first", a), ("second", b)):
+        area = box.bev_area()
+        if area <= 0.0:
+            raise ValidationError("degenerate zero-area box")
+        if area == math.inf:
+            raise ValidationError(f"{name} box BEV area l*w = {box.l:g}*{box.w:g} is not finite")
 
 
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     """Exact BEV IoU of two oriented boxes via convex polygon intersection."""
     _check_boxes(a, b)
-    inter = polygon_area(clip_polygon(bev_corners(a), bev_corners(b)))
+    inter = _polygon_area([p for p, _ in _clip_tracked([(p, None) for p in _corners(a)], _corners(b))])
     union = a.bev_area() + b.bev_area() - inter
     return float(min(max(inter / union, 0.0), 1.0))
 
@@ -156,7 +182,7 @@ def _corners_with_jac(box: Box3D):
     """BEV corners plus 2x5 jacobians w.r.t. (cx, cy, l, w, yaw)."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     out = []
-    for pos, (sx, sy) in zip(bev_corners(box), _CORNER_SIGNS):
+    for pos, (sx, sy) in zip(_corners(box), _CORNER_SIGNS):
         dx, dy = sx * box.l / 2.0, sy * box.w / 2.0
         jac = np.zeros((2, 5))
         jac[0, 0] = 1.0
@@ -179,7 +205,7 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     value is returned.
     """
     _check_boxes(pred, gt)
-    poly = _clip_tracked(_corners_with_jac(pred), bev_corners(gt))
+    poly = _clip_tracked(_corners_with_jac(pred), _corners(gt))
     inter = 0.0
     d_inter = np.zeros(5)
     if len(poly) >= 3:
@@ -209,7 +235,7 @@ def diou_penalty_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     dd2 = np.array([2.0 * (pred.cx - gt.cx), 2.0 * (pred.cy - gt.cy), 0.0, 0.0, 0.0])
 
     pred_cs = _corners_with_jac(pred)
-    gt_cs = [(p, np.zeros((2, 5))) for p in bev_corners(gt)]
+    gt_cs = [(p, np.zeros((2, 5))) for p in _corners(gt)]
     corners = pred_cs + gt_cs
     xs = np.array([p[0] for p, _ in corners])
     ys = np.array([p[1] for p, _ in corners])

@@ -14,7 +14,7 @@ classification and IoU scores as cls^(1-alpha) * iou^alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -174,21 +174,24 @@ def rectify_score(cls_score: float, iou_score: float, alpha: float) -> float:
 
 def rectify_detections(dets: list[Detection], alpha) -> list[Detection]:
     """Apply rectification; ``alpha`` is a scalar or a per-class sequence."""
-    out = []
-    for d in dets:
-        a = alpha if np.isscalar(alpha) else alpha[d.class_id]
-        out.append(replace(d, final_score=rectify_score(d.cls_score, d.iou_score, float(a))))
-    return out
+    per_class = not np.isscalar(alpha)
+    return [
+        Detection(d.box, d.class_id, d.cls_score, d.iou_score,
+                  rectify_score(d.cls_score, d.iou_score, float(alpha[d.class_id] if per_class else alpha)))
+        for d in dets
+    ]
 
 
 def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list[Detection]:
     """Greedy suppression by descending final score using rotated BEV IoU.
 
     ``iou_thresh`` is a scalar or per-class sequence in [0, 1] (ignored across
-    classes unless class_agnostic). Ties are broken by input order, which makes
-    the result deterministic. IoU is evaluated only for pairs whose
-    circumscribed circles touch: the clip of two boxes farther apart leaves no
-    polygon, so their IoU is exactly 0 and exceeds no threshold.
+    classes unless class_agnostic). A candidate is suppressed by a kept box whose
+    IoU with it exceeds the candidate's own class threshold, also when the kept
+    box has another class. Ties are broken by input order, which makes the
+    result deterministic. IoU is evaluated only for pairs whose circumscribed
+    circles touch: the clip of two boxes farther apart leaves no polygon, so
+    their IoU is exactly 0 and exceeds no threshold.
     """
     thresh = np.asarray(iou_thresh, dtype=np.float64)
     if not np.all((thresh >= 0.0) & (thresh <= 1.0)):
@@ -198,15 +201,20 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     classes = [dets[i].class_id for i in order]
     cx, cy, l, w = np.array([(b.cx, b.cy, b.l, b.w) for b in boxes]).reshape(-1, 4).T
     radius = np.hypot(l, w) / 2.0
-    # the slack keeps touching circles in the mask whatever the rounding
-    can_overlap = np.hypot(cx[:, None] - cx, cy[:, None] - cy) <= (radius[:, None] + radius) * (1.0 + 1e-9)
+    # squared distances, as an n x n hypot costs more than the IoUs; the slack keeps
+    # touching circles in the mask whatever the rounding
+    reach = np.add.outer(radius, radius) * (1.0 + 1e-9)
+    can_overlap = np.subtract.outer(cx, cx) ** 2 + np.subtract.outer(cy, cy) ** 2 <= reach * reach
     if not class_agnostic:
         can_overlap &= np.equal.outer(classes, classes)
-    kept = np.zeros(len(order), dtype=bool)
+    # rivals[p]: the higher-ranked boxes that can overlap box p, in rank order
+    rivals = [[] for _ in boxes]
+    for p, q in zip(*(i.tolist() for i in np.nonzero(np.tril(can_overlap, -1)))):
+        rivals[p].append(q)
+    limits = [float(thresh)] * len(boxes) if thresh.ndim == 0 else thresh[classes].tolist()
+    kept = [False] * len(boxes)
     for p, box in enumerate(boxes):
-        t = float(thresh if thresh.ndim == 0 else thresh[classes[p]])
-        rivals = np.flatnonzero(kept[:p] & can_overlap[p, :p])
-        kept[p] = not any(rotated_iou_bev(boxes[q], box) > t for q in rivals)
+        kept[p] = not any(kept[q] and rotated_iou_bev(boxes[q], box) > limits[p] for q in rivals[p])
     return [dets[i] for i in sorted(compress(order, kept))]
 
 

@@ -67,16 +67,17 @@ def gaussian_radius(height: float, width: float, min_overlap: float = 0.7) -> fl
 
 
 def draw_gaussian(heatmap: np.ndarray, col: int, row: int, radius: int) -> None:
-    """Stamp a peak-1 Gaussian at (row, col), merging by elementwise max."""
+    """Stamp a peak-1 Gaussian at (row, col), merging by elementwise max.
+
+    Only the part of the (2 radius + 1)^2 patch that lies on the map is built.
+    """
     h, w = heatmap.shape
     sigma = (2.0 * radius + 1.0) / 6.0
-    ys, xs = np.ogrid[-radius : radius + 1, -radius : radius + 1]
-    patch = np.exp(-(xs * xs + ys * ys) / (2.0 * sigma * sigma))
-
     top, bottom = min(row, radius), min(h - 1 - row, radius)
     left, right = min(col, radius), min(w - 1 - col, radius)
+    ys, xs = np.ogrid[-top : bottom + 1, -left : right + 1]
     view = heatmap[row - top : row + bottom + 1, col - left : col + right + 1]
-    np.maximum(view, patch[radius - top : radius + bottom + 1, radius - left : radius + right + 1], out=view)
+    np.maximum(view, np.exp(-(xs * xs + ys * ys) / (2.0 * sigma * sigma)), out=view)
 
 
 def render_gaussian_targets(
@@ -103,7 +104,10 @@ def render_gaussian_targets(
         col, row = int(math.floor(u)), int(math.floor(v))
         if not (0 <= col < w and 0 <= row < h):
             raise ValidationError(f"box {i}: center falls outside the head map")
-        radius = max(0, int(gaussian_radius(b.w / cell_y, b.l / cell_x, min_overlap)))
+        radius = gaussian_radius(b.w / cell_y, b.l / cell_x, min_overlap)
+        if not math.isfinite(radius):
+            raise ValidationError(f"box {i}: Gaussian radius is not finite for l={b.l:g} w={b.w:g}")
+        radius = max(0, int(radius))
         draw_gaussian(heatmap[b.class_id], col, row, radius)
         heatmap[b.class_id, row, col] = 1.0
         reg[0, row, col] = u - col - 0.5

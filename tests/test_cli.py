@@ -277,6 +277,19 @@ class TestTrainStep:
         assert breakdown["total"] >= 0.0
         assert breakdown["weights"] == [1.0, 1.0, 0.25]
 
+    @pytest.mark.parametrize("size", [1e6, 1e30, 1e200])
+    def test_huge_box_gives_losses_or_one_error_line(self, scene, tmp_path, capsys, size):
+        boxes = tmp_path / "boxes.csv"
+        write_boxes([Box3D(0.5, 0.5, 0.0, size, size, 1.5, 0.3, 0)], boxes)
+        code = main(["train-step", "--profile", "desk", "--cloud", str(scene), "--boxes", str(boxes)])
+        out, err = capsys.readouterr()
+        if size < 1e100:
+            assert code == 0
+            assert all(math.isfinite(v) for k, v in json.loads(out).items() if k != "weights")
+        else:
+            assert code == 1
+            assert err == f"error: box 0: Gaussian radius is not finite for l={size:g} w={size:g}\n"
+
 
 class TestBoxRecords:
     def test_roundtrip(self, tmp_path):

@@ -403,12 +403,13 @@ def naive_nms(dets, iou_thresh, class_agnostic):
         if not alive[i]:
             continue
         kept.append(i)
-        thresh = iou_thresh if np.isscalar(iou_thresh) else iou_thresh[dets[i].class_id]
         for j in order:
             if j == i or not alive[j]:
                 continue
             if not class_agnostic and dets[j].class_id != dets[i].class_id:
                 continue
+            # the suppressed box's class threshold, also across classes
+            thresh = iou_thresh if np.isscalar(iou_thresh) else iou_thresh[dets[j].class_id]
             if rotated_iou_bev(dets[i].box, dets[j].box) > thresh:
                 alive[j] = False
     return sorted(kept)
@@ -504,10 +505,9 @@ def count_iou_calls(monkeypatch):
 
 
 class TestNMSOverlapMask:
-    # per-class thresholds only where classes never meet: across classes, nms takes the
-    # candidate's threshold and naive_nms the kept box's
     @pytest.mark.parametrize("class_agnostic,thresh", [
-        (False, 0.0), (False, 0.2), (False, (0.1, 0.5, 0.8)), (False, 1.0), (True, 0.0), (True, 0.2), (True, 1.0),
+        (False, 0.0), (False, 0.2), (False, (0.1, 0.5, 0.8)), (False, 1.0),
+        (True, 0.0), (True, 0.2), (True, (0.1, 0.5, 0.8)), (True, 1.0),
     ])
     def test_crowded_scene_matches_naive_reference(self, class_agnostic, thresh):
         rng = np.random.default_rng(11)

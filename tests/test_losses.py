@@ -9,6 +9,7 @@ from pillardet.head import head_map_hw
 from pillardet.losses import (
     LossWeights,
     diou_loss,
+    draw_gaussian,
     focal_loss,
     gaussian_radius,
     iou_branch_loss,
@@ -69,6 +70,29 @@ class TestTargets:
 
     def test_radius_positive_for_reasonable_boxes(self):
         assert gaussian_radius(6.0, 10.0) > 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gaussian_equals_full_patch_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        got = rng.uniform(0.0, 1.0, (9, 13))
+        want = got.copy()
+        for _ in range(40):
+            row, col, radius = int(rng.integers(9)), int(rng.integers(13)), int(rng.integers(0, 20))
+            draw_gaussian(got, col, row, radius)
+            full_patch_gaussian(want, col, row, radius)
+        assert got.tobytes() == want.tobytes()
+
+
+def full_patch_gaussian(heatmap, col, row, radius):
+    """Reference: the whole (2 radius + 1)^2 patch, cut to the map after it is built."""
+    h, w = heatmap.shape
+    sigma = (2.0 * radius + 1.0) / 6.0
+    ys, xs = np.ogrid[-radius : radius + 1, -radius : radius + 1]
+    patch = np.exp(-(xs * xs + ys * ys) / (2.0 * sigma * sigma))
+    top, bottom = min(row, radius), min(h - 1 - row, radius)
+    left, right = min(col, radius), min(w - 1 - col, radius)
+    view = heatmap[row - top : row + bottom + 1, col - left : col + right + 1]
+    np.maximum(view, patch[radius - top : radius + bottom + 1, radius - left : radius + right + 1], out=view)
 
 
 def fd_grad(fn, x, h=1e-4):
