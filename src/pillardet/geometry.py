@@ -175,6 +175,8 @@ def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     _check_boxes(a, b)
     inter = _polygon_area([p for p, _ in _clip_tracked([(p, None) for p in _corners(a)], _corners(b))])
     union = a.bev_area() + b.bev_area() - inter
+    if not math.isfinite(union):  # also catches a non-finite intersection
+        raise ValidationError(f"IoU of {a} and {b} overflows: intersection {inter!r}, union {union!r}")
     return float(min(max(inter / union, 0.0), 1.0))
 
 
@@ -197,6 +199,7 @@ def _corners_with_jac(box: Box3D):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as the ValidationError below
 def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     """BEV IoU and its gradient w.r.t. pred's (cx, cy, l, w, yaw).
 
@@ -222,6 +225,11 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     union = area_p + gt.bev_area() - inter
     iou = inter / union
     d_iou = (d_inter * union - inter * (d_area_p - d_inter)) / (union * union)
+    if not (math.isfinite(union) and np.isfinite(d_iou).all()):
+        raise ValidationError(
+            f"IoU gradient of {pred} against {gt} overflows: intersection {inter!r}, union {union!r}, "
+            f"gradient {d_iou.tolist()}"
+        )
     return float(iou), d_iou
 
 

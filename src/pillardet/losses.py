@@ -66,18 +66,26 @@ def gaussian_radius(height: float, width: float, min_overlap: float = 0.7) -> fl
     return min(r1, r2, r3)
 
 
+# the largest float64 below 1.0: every off-centre Gaussian value is capped to it
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def draw_gaussian(heatmap: np.ndarray, col: int, row: int, radius: int) -> None:
     """Stamp a peak-1 Gaussian at (row, col), merging by elementwise max.
 
     Only the part of the (2 radius + 1)^2 patch that lies on the map is built.
+    Every cell but the centre stays below 1.0, also where a huge radius rounds
+    the Gaussian to 1.0, so the stamp adds exactly one positive.
     """
     h, w = heatmap.shape
     sigma = (2.0 * radius + 1.0) / 6.0
     top, bottom = min(row, radius), min(h - 1 - row, radius)
     left, right = min(col, radius), min(w - 1 - col, radius)
     ys, xs = np.ogrid[-top : bottom + 1, -left : right + 1]
+    patch = np.minimum(np.exp(-(xs * xs + ys * ys) / (2.0 * sigma * sigma)), _BELOW_ONE)
+    patch[top, left] = 1.0
     view = heatmap[row - top : row + bottom + 1, col - left : col + right + 1]
-    np.maximum(view, np.exp(-(xs * xs + ys * ys) / (2.0 * sigma * sigma)), out=view)
+    np.maximum(view, patch, out=view)
 
 
 def render_gaussian_targets(

@@ -1,10 +1,15 @@
 """Minimal NCHW float32 compute: conv, batchnorm, rectifier, pooling, and the
 three-branch reparameterizable block with its exact single-conv fusion.
 
-A conv is one GEMM per sample on unrolled columns (the im2col scheme of
-Caffe, Jia et al. 2014): k*k strided plane copies of the padded input fill a
-(c_in*k*k, ho*wo) matrix, and the kernel, reshaped to (c_out, c_in*k*k),
-multiplies it from the left, so the product is already the NCHW output.
+A conv is a GEMM on unrolled columns (the im2col scheme of Caffe, Jia et
+al. 2014): k*k strided plane copies of the padded input fill (c_in*k*k, rows)
+columns, and the kernel, reshaped to (c_out, c_in*k*k), multiplies them from
+the left, so the product is already NCHW output. The columns are filled and
+multiplied one band of output rows at a time, each band at most
+COLUMN_BLOCK_BYTES or the kernel's own size if that is larger, so a conv needs
+its padded input, its output and one band rather than the whole
+(c_in*k*k, ho*wo) matrix. A 1x1 stride-1 conv multiplies its input directly,
+since that is already its column matrix.
 
 A rep unit trains as Conv3x3-BN + Conv1x1-BN (+ Identity-BN when shapes
 allow), with the rectifier applied after the branch sum. Fusion folds each
@@ -21,6 +26,10 @@ import numpy as np
 from .errors import ValidationError
 
 FLOAT = np.float32
+
+# Bytes of unrolled columns one band of output rows may hold: half of a 2 MiB
+# L2, so a band stays cached from its fill through its GEMM.
+COLUMN_BLOCK_BYTES = 1 << 20
 
 
 def _freeze(arr, dtype=FLOAT) -> np.ndarray:
@@ -141,16 +150,26 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     k, pad, s = p.ksize, p.padding, p.stride
     ho = (h + 2 * pad - k) // s + 1
     wo = (w + 2 * pad - k) // s + 1
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     kernel = p.kernel.reshape(p.out_channels, ci * k * k)
-    cols = np.empty((ci, k, k, ho, wo), dtype=FLOAT)
     out = np.empty((n, p.out_channels, ho * wo), dtype=FLOAT)
-    for i in range(n):
-        for ky in range(k):
-            for kx in range(k):
-                cols[:, ky, kx] = x[i, :, ky : ky + s * ho : s, kx : kx + s * wo : s]
-        np.matmul(kernel, cols.reshape(ci * k * k, ho * wo), out=out[i])
+    if k == 1 and s == 1:
+        for i in range(n):
+            np.matmul(kernel, x[i].reshape(ci, h * w), out=out[i])
+    else:
+        if pad:
+            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # each GEMM call repacks the whole kernel, so a band is never smaller than the kernel
+        budget = max(COLUMN_BLOCK_BYTES, kernel.nbytes)
+        rows = max(1, min(ho, budget // max(ci * k * k * wo * out.itemsize, 1)))
+        buf = np.empty(ci * k * k * rows * wo, dtype=FLOAT)
+        for i in range(n):
+            for r0 in range(0, ho, rows):
+                r1 = min(r0 + rows, ho)
+                cols = buf[: ci * k * k * (r1 - r0) * wo].reshape(ci, k, k, r1 - r0, wo)
+                for ky in range(k):
+                    for kx in range(k):
+                        cols[:, ky, kx] = x[i, :, ky + s * r0 : ky + s * r1 : s, kx : kx + s * wo : s]
+                np.matmul(kernel, cols.reshape(ci * k * k, -1), out=out[i][:, r0 * wo : r1 * wo])
     out += p.bias[:, None]
     return out.reshape(n, p.out_channels, ho, wo)
 

@@ -97,3 +97,25 @@ def test_box_with_non_finite_bev_area_rejected(l, w):
         with pytest.raises(ValidationError, match=f"{which} box BEV area"):
             iou_bev_with_grad(a, b)
 
+
+@pytest.mark.filterwarnings("error")
+def test_far_off_boxes_with_non_finite_intersection_rejected():
+    far = Box3D(1e200, 1e200, 0.0, 1.0, 1.0, 1.0, 0.0)  # the shoelace terms read inf - inf
+    with pytest.raises(ValidationError, match=r"IoU of Box3D\(cx=1e\+200.* overflows"):
+        rotated_iou_bev(far, far)
+
+
+@pytest.mark.filterwarnings("error")
+def test_boxes_with_non_finite_union_rejected():
+    a = Box3D(0.0, 0.0, 0.0, 1e154, 1e154, 1.0, 0.0)  # each area is finite, their sum is not
+    b = Box3D(1.0, 0.0, 0.0, 1e154, 1e154, 1.0, 0.0)
+    with pytest.raises(ValidationError, match=r"IoU of Box3D\(cx=0\.0, .*l=1e\+154.* overflows"):
+        rotated_iou_bev(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_iou_gradient_rejected_without_warnings():
+    pred = Box3D(0.0, 0.0, 0.0, 1e100, 1e100, 1.0, 0.3)  # the yaw jacobian terms overflow
+    gt = Box3D(1.0, 0.0, 0.0, 1e100, 1e100, 1.0, 0.1)
+    with pytest.raises(ValidationError, match=r"IoU gradient of Box3D\(.*l=1e\+100.* overflows"):
+        iou_bev_with_grad(pred, gt)

@@ -68,6 +68,14 @@ class TestTargets:
         with pytest.raises(ValidationError, match="class"):
             render_gaussian_targets([Box3D(0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 5)], GRID, STRIDE, 2)
 
+    def test_huge_box_leaves_one_positive(self):
+        # the radius is so large that exp rounds every cell of the map to 1.0
+        box = Box3D(0.5, -1.0, 0.0, 1e30, 1e30, 1.0, 0.0, class_id=2)
+        t = render_gaussian_targets([box], GRID, STRIDE, n_classes=3)
+        ((row, col, _),) = t.centers
+        assert np.count_nonzero(t.heatmap[2] == 1.0) == 1 and t.heatmap[2, row, col] == 1.0
+        assert t.heatmap[2].min() == np.nextafter(1.0, 0.0)
+
     def test_radius_positive_for_reasonable_boxes(self):
         assert gaussian_radius(6.0, 10.0) > 0.0
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pillardet import nn
 from pillardet.errors import ValidationError
 from pillardet.nn import (
     BNParams,
@@ -87,6 +90,51 @@ class TestConv2d:
         x = rng.normal(size=(1, 16, 6, 5)).astype(np.float32)  # c_in * 9 = 144 column rows
         p = ConvParams(rng.normal(size=(5, 16, 3, 3)) / 12.0, rng.normal(size=5) * 0.1)
         assert rel_discrepancy(conv2d(x, p), naive_conv2d(x, p)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "k,stride,h,w,band_rows",
+        [
+            (3, 1, 9, 7, 2),  # four 2-row bands and a 1-row tail
+            (3, 1, 9, 7, 1),
+            (3, 2, 11, 9, 4),  # ho = 6: one 4-row band and a 2-row tail
+            (3, 2, 11, 9, 1),
+            (1, 2, 9, 7, 2),  # ho = 5: 2, 2 and a 1-row tail
+        ],
+    )
+    def test_row_bands_match_naive_loops(self, monkeypatch, k, stride, h, w, band_rows):
+        rng = np.random.default_rng(20 + k + stride + band_rows)
+        x = rng.normal(size=(2, 3, h, w)).astype(np.float32)
+        p = ConvParams(rng.normal(size=(4, 3, k, k)) * 0.3, rng.normal(size=4) * 0.1, stride=stride)
+        wo = (w + 2 * p.padding - k) // stride + 1
+        row_bytes = 3 * k * k * wo * 4
+        assert p.kernel.nbytes <= row_bytes  # so the kernel-size floor never widens a band here
+        # a budget of band_rows column rows, or less than one row for 1-row bands
+        budget = band_rows * row_bytes if band_rows > 1 else 1
+        monkeypatch.setattr(nn, "COLUMN_BLOCK_BYTES", budget)
+        got = conv2d(x, p)
+        want = naive_conv2d(x, p)
+        assert got.shape == want.shape
+        assert rel_discrepancy(got, want) < 1e-6
+
+    def test_peak_memory_is_input_output_and_one_band(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(1, 64, 96, 96)).astype(np.float32)
+        p = ConvParams(rng.normal(size=(64, 64, 3, 3)) / 24.0, np.zeros(64))
+        padded_bytes = 64 * 98 * 98 * 4
+        out_bytes = 64 * 96 * 96 * 4
+        slack = 64 * 1024  # small arrays, views and the interpreter's own allocations
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            conv2d(x, p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the whole (576, 96*96) column matrix alone would take 21 MB
+        assert peak <= padded_bytes + out_bytes + max(nn.COLUMN_BLOCK_BYTES, p.kernel.nbytes) + slack
 
     @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
     def test_output_is_a_fresh_contiguous_float32_tensor(self, k, stride):
