@@ -26,7 +26,7 @@ def normalize_yaw(yaw: float) -> float:
     return -math.pi if y >= math.pi else y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box3D:
     """Oriented 3D box: center (m), size (m), heading (rad), class id."""
 
@@ -41,7 +41,7 @@ class Box3D:
 
     def __post_init__(self):
         vals = (self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValidationError(f"box has non-finite fields: {vals}")
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ValidationError(f"box sizes must be positive, got l={self.l} w={self.w} h={self.h}")
@@ -230,7 +230,8 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
             f"IoU gradient of {pred} against {gt} overflows: intersection {inter!r}, union {union!r}, "
             f"gradient {d_iou.tolist()}"
         )
-    return float(iou), d_iou
+    # clamped as in rotated_iou_bev: rounding can put a box's IoU with itself above 1
+    return float(min(max(iou, 0.0), 1.0)), d_iou
 
 
 def diou_penalty_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:

@@ -90,7 +90,7 @@ class HeadOutput:
         return np.concatenate([getattr(self, name) for name, _, _ in HEAD_GROUPS[1:-1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     box: Box3D
     class_id: int
@@ -110,20 +110,6 @@ def head_map_hw(grid: GridConfig, out_stride: int) -> tuple[int, int]:
     return h, w
 
 
-def _local_peaks(heatmap: np.ndarray) -> np.ndarray:
-    """Cells that are >= all 8 neighbours, per class."""
-    k, h, w = heatmap.shape
-    padded = np.full((k, h + 2, w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = heatmap
-    peak = np.ones_like(heatmap, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            peak &= heatmap >= padded[:, 1 + dy : h + 1 + dy, 1 + dx : w + 1 + dx]
-    return peak
-
-
 def decode(
     out: HeadOutput,
     grid: GridConfig,
@@ -136,9 +122,22 @@ def decode(
     Ties are broken deterministically by (row, col) order. Detections carry
     final_score = cls_score until rectification is applied.
     """
-    peaks = _local_peaks(out.heatmap) & (out.heatmap > score_thresh)
-    cls_idx, rows, cols = np.nonzero(peaks)
-    scores = out.heatmap[cls_idx, rows, cols]
+    hm = out.heatmap
+    _, h, w = hm.shape
+    # only the cells above threshold can be peaks; np.flatnonzero keeps the C order of np.nonzero
+    flat = np.flatnonzero(hm > score_thresh)
+    cls_idx, rows, cols = np.unravel_index(flat, hm.shape)
+    scores = hm.ravel()[flat]
+    # a peak is >= each of its in-map 8 neighbours; an off-map neighbour never rules a cell out
+    up, down, left, right = rows > 0, rows < h - 1, cols > 0, cols < w - 1
+    neighbours = (
+        (-w - 1, up & left), (-w, up), (-w + 1, up & right), (-1, left),
+        (1, right), (w - 1, down & left), (w, down), (w + 1, down & right),
+    )
+    peak = np.ones(len(flat), dtype=bool)
+    for step, inside in neighbours:
+        peak &= (scores >= hm.take(flat + step, mode="clip")) | ~inside
+    cls_idx, rows, cols, scores = cls_idx[peak], rows[peak], cols[peak], scores[peak]
     order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
     cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
     iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
@@ -182,6 +181,29 @@ def rectify_detections(dets: list[Detection], alpha) -> list[Detection]:
     ]
 
 
+def _apart(geom: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """For each pair (p[i], q[i]) of rows of ``geom`` (cx, cy, l, w, yaw), whether the two
+    BEV footprints lie apart along an edge normal of either box by more than 1e-9 of the
+    sum of their circumscribed radii.
+
+    Such a pair's IoU is exactly 0: a clipped vertex would have to lie within rounding
+    of both footprints, so the clip leaves no polygon.
+    """
+    cx, cy, l, w, yaw = geom.T
+    hl, hw = l / 2.0, w / 2.0
+    c, s = np.cos(yaw), np.sin(yaw)
+    dx, dy = cx[q] - cx[p], cy[q] - cy[p]
+    # |cos| and |sin| of the heading difference: how far each box reaches along the other's axes
+    cos_pq = np.abs(c[p] * c[q] + s[p] * s[q])
+    sin_pq = np.abs(c[p] * s[q] - s[p] * c[q])
+    slack = 1e-9 * (np.hypot(hl[p], hw[p]) + np.hypot(hl[q], hw[q]))
+    apart = np.zeros(len(p), dtype=bool)
+    for a, b in ((p, q), (q, p)):
+        apart |= np.abs(dx * c[a] + dy * s[a]) > hl[a] + hl[b] * cos_pq + hw[b] * sin_pq + slack
+        apart |= np.abs(dy * c[a] - dx * s[a]) > hw[a] + hl[b] * sin_pq + hw[b] * cos_pq + slack
+    return apart
+
+
 def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list[Detection]:
     """Greedy suppression by descending final score using rotated BEV IoU.
 
@@ -189,9 +211,11 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     classes unless class_agnostic). A candidate is suppressed by a kept box whose
     IoU with it exceeds the candidate's own class threshold, also when the kept
     box has another class. Ties are broken by input order, which makes the
-    result deterministic. IoU is evaluated only for pairs whose circumscribed
-    circles touch: the clip of two boxes farther apart leaves no polygon, so
-    their IoU is exactly 0 and exceeds no threshold.
+    result deterministic. IoU is evaluated only for pairs whose footprints may
+    meet: their circumscribed circles touch, and no edge normal of either box
+    separates them (separating axes, with the circles' rounding slack). The clip
+    of any other pair leaves no polygon, so its IoU is exactly 0 and exceeds no
+    threshold.
     """
     thresh = np.asarray(iou_thresh, dtype=np.float64)
     if not np.all((thresh >= 0.0) & (thresh <= 1.0)):
@@ -199,7 +223,8 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].final_score, i))
     boxes = [dets[i].box for i in order]
     classes = [dets[i].class_id for i in order]
-    cx, cy, l, w = np.array([(b.cx, b.cy, b.l, b.w) for b in boxes]).reshape(-1, 4).T
+    geom = np.array([(b.cx, b.cy, b.l, b.w, b.yaw) for b in boxes]).reshape(-1, 5)
+    cx, cy, l, w, _ = geom.T
     radius = np.hypot(l, w) / 2.0
     # squared distances, as an n x n hypot costs more than the IoUs; the slack keeps
     # touching circles in the mask whatever the rounding
@@ -207,9 +232,11 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     can_overlap = np.subtract.outer(cx, cx) ** 2 + np.subtract.outer(cy, cy) ** 2 <= reach * reach
     if not class_agnostic:
         can_overlap &= np.equal.outer(classes, classes)
-    # rivals[p]: the higher-ranked boxes that can overlap box p, in rank order
+    # rivals[p]: the higher-ranked boxes that can overlap box p, in rank order (row-major pairs)
+    later, earlier = divmod(np.flatnonzero(np.tril(can_overlap, -1)), len(boxes))
+    meet = ~_apart(geom, later, earlier)
     rivals = [[] for _ in boxes]
-    for p, q in zip(*(i.tolist() for i in np.nonzero(np.tril(can_overlap, -1)))):
+    for p, q in zip(later[meet].tolist(), earlier[meet].tolist()):
         rivals[p].append(q)
     limits = [float(thresh)] * len(boxes) if thresh.ndim == 0 else thresh[classes].tolist()
     kept = [False] * len(boxes)

@@ -15,9 +15,10 @@ import pytest
 
 from pillardet.errors import ValidationError
 from pillardet.geometry import Box3D, iou_bev_with_grad, rotated_iou_bev
+from pillardet.losses import diou_loss
 
 IOU_DIGEST = "2aeea82bf69ef13a0ed1ead580bd2bf2884a3174285353204f0a221e255027d4"
-GRAD_DIGEST = "9ac3b6201e4587db394beaf4219373ce571142f901da4e21d4242bf0249f78ec"
+GRAD_DIGEST = "42bae28e29d1f7552aff9842b26dc9a0aef59a28f540965e23ce1fc396dae312"
 
 
 def _box(rng, spread=3.0):
@@ -85,6 +86,17 @@ def test_iou_with_grad_bits_are_pinned():
         rows.append([iou, *grad])
     assert len(rows) == 2000
     assert digest(rows) == GRAD_DIGEST
+
+
+def test_iou_with_grad_stays_in_unit_interval():
+    # unclamped, rounding put the IoU of about half these boxes with themselves above 1
+    # and a corner-to-corner IoU below 0, so a perfect prediction's DIoU loss read below 0
+    rng = np.random.default_rng(21)
+    for b in (_box(rng, spread=50.0) for _ in range(2000)):
+        assert iou_bev_with_grad(b, b)[0] <= 1.0
+        assert diou_loss(b, b)[0] >= 0.0
+    for a, b in (_corner_to_corner(rng) for _ in range(2000)):
+        assert iou_bev_with_grad(a, b)[0] >= 0.0
 
 
 @pytest.mark.parametrize("l,w", [(1e200, 1e200), (1e300, 1e10)])

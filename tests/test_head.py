@@ -18,6 +18,7 @@ from pillardet.head import (
     LOG_SIZE_BAND,
     Detection,
     HeadOutput,
+    _apart,
     _sigmoid,
     build_head,
     decode,
@@ -46,6 +47,48 @@ def empty_output(n_classes=2, hw=None):
         yaw=np.stack([np.zeros((h, w)), np.ones((h, w))]),
         iou=np.zeros((1, h, w)),
     )
+
+
+def full_map_peaks(heatmap):
+    """Reference peak rule over the whole map: cells >= all 8 neighbours, per class,
+    with off-map neighbours at -inf."""
+    k, h, w = heatmap.shape
+    padded = np.full((k, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = heatmap
+    peak = np.ones_like(heatmap, dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            peak &= heatmap >= padded[:, 1 + dy : h + 1 + dy, 1 + dx : w + 1 + dx]
+    return peak
+
+
+def reference_decode(out, k, score_thresh):
+    """decode with the full-map peak rule: top-k by score, ties by (row, col, class)."""
+    cls_idx, rows, cols = np.nonzero(full_map_peaks(out.heatmap) & (out.heatmap > score_thresh))
+    scores = out.heatmap[cls_idx, rows, cols]
+    order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
+    cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
+    iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
+    boxes = decode_cells(out, GRID, STRIDE, rows, cols, cls_idx)
+    return [
+        Detection(box, int(c), float(s), float(i), float(s))
+        for box, c, s, i in zip(boxes, cls_idx, scores, iou_scores)
+    ]
+
+
+def tied_head(rng, shape):
+    """A head whose heatmap takes few distinct values, so ties and plateaus are
+    common and many peaks sit on the border."""
+    n_classes, h, w = shape
+    fields = empty_output(n_classes, (h, w))
+    fields["heatmap"] = rng.integers(1, 6, shape) * 0.16
+    fields["offset"] = rng.uniform(-0.5, 0.5, (2, h, w))
+    fields["size"] = rng.uniform(-1.0, 1.5, (3, h, w))
+    fields["yaw"] = rng.normal(size=(2, h, w))
+    fields["iou"] = rng.uniform(-1.0, 1.0, (1, h, w))
+    return HeadOutput(**fields)
 
 
 class TestDecode:
@@ -106,6 +149,17 @@ class TestDecode:
         fields["heatmap"][0, 0, 0] = 1.0
         with pytest.raises(ValidationError):
             HeadOutput(**fields)
+
+    @pytest.mark.parametrize("score_thresh", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("shape", [(2, 1, 7), (1, 6, 1), (3, 9, 7), (2, 16, 16)])
+    def test_matches_full_map_peak_rule(self, shape, score_thresh):
+        rng = np.random.default_rng(shape[1] * 100 + shape[2])
+        for _ in range(5):
+            out = tied_head(rng, shape)
+            for k in (3, out.heatmap.size):
+                assert decode(out, GRID, STRIDE, k=k, score_thresh=score_thresh) == reference_decode(
+                    out, k, score_thresh
+                )
 
 
 class TestHeadConv:
@@ -504,6 +558,48 @@ def count_iou_calls(monkeypatch):
     return calls
 
 
+def elongated_detections(rng, n_rows=8, per_row=6, n_scattered=60, half_range=30.0):
+    """Rows of long, narrow boxes side by side (gaps around 0.1 m, some negative) among
+    scattered ones, so many pairs have touching circles and footprints that are apart."""
+    dets = []
+    for cx, cy, yaw in zip(*rng.uniform(-half_range, half_range, (2, n_rows)), rng.uniform(-math.pi, math.pi, n_rows)):
+        across = 0.0
+        for _ in range(per_row):
+            l, w = rng.uniform(4.0, 12.0), rng.uniform(0.3, 1.0)
+            across += w / 2.0
+            along = rng.normal(0.0, 0.5)
+            dets.append((cx + along * math.cos(yaw) - across * math.sin(yaw),
+                         cy + along * math.sin(yaw) + across * math.cos(yaw), l, w, yaw + rng.normal(0.0, 0.03)))
+            across += w / 2.0 + rng.normal(0.1, 0.08)
+    for cx, cy in rng.uniform(-half_range, half_range, (n_scattered, 2)):
+        dets.append((cx, cy, rng.uniform(4.0, 12.0), rng.uniform(0.3, 1.0), rng.uniform(-math.pi, math.pi)))
+    out = []
+    for cx, cy, l, w, yaw in dets:
+        k = int(rng.integers(3))
+        score = float(rng.uniform(0.2, 1.0))
+        out.append(Detection(Box3D(cx, cy, 0.0, l, w, 1.5, yaw, k), k, score, 0.5, score))
+    return out
+
+
+def touching_pair(rng, gap):
+    """A random box and a second box just off one of its edges by ``gap`` metres: the
+    second box's nearest point lies on that edge's normal, at any heading or, half the
+    time, parallel."""
+    a = random_box(rng, spread=50.0)
+    yaw_b = a.yaw + (rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else 0.0)
+    l, w = rng.uniform(0.8, 4.0), rng.uniform(0.3, 3.0)
+    edge = rng.integers(4)
+    normal = a.yaw + edge * math.pi / 2.0
+    half_a = (a.l if edge % 2 == 0 else a.w) / 2.0
+    rel = yaw_b - normal
+    reach_b = l / 2.0 * abs(math.cos(rel)) + w / 2.0 * abs(math.sin(rel))
+    d = half_a + reach_b + gap
+    slide = rng.uniform(-1.0, 1.0) * (a.w if edge % 2 == 0 else a.l) / 2.0
+    b = Box3D(a.cx + d * math.cos(normal) - slide * math.sin(normal),
+              a.cy + d * math.sin(normal) + slide * math.cos(normal), 0.0, l, w, 1.0, yaw_b)
+    return a, b
+
+
 class TestNMSOverlapMask:
     @pytest.mark.parametrize("class_agnostic,thresh", [
         (False, 0.0), (False, 0.2), (False, (0.1, 0.5, 0.8)), (False, 1.0),
@@ -514,6 +610,37 @@ class TestNMSOverlapMask:
         for _ in range(2):
             dets = crowded_detections(rng)
             assert nms(dets, thresh, class_agnostic) == [dets[i] for i in naive_nms(dets, thresh, class_agnostic)]
+
+    @pytest.mark.parametrize("class_agnostic", [False, True])
+    def test_elongated_scene_matches_naive_reference(self, class_agnostic):
+        rng = np.random.default_rng(15)
+        for _ in range(2):
+            dets = elongated_detections(rng)
+            assert nms(dets, 0.0, class_agnostic) == [dets[i] for i in naive_nms(dets, 0.0, class_agnostic)]
+
+    @pytest.mark.parametrize("gap", [-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-8, 1e-6, 1e-3])
+    def test_pairs_apart_on_an_axis_have_zero_iou(self, gap):
+        rng = np.random.default_rng(16)
+        pairs = [touching_pair(rng, gap) for _ in range(400)]
+        geom = np.array([(b.cx, b.cy, b.l, b.w, b.yaw) for pair in pairs for b in pair])
+        first = np.arange(0, len(geom), 2)
+        for flip in (False, True):
+            apart = _apart(geom, first + flip, first + (not flip)).tolist()
+            for (a, b), is_apart in zip(pairs, apart):
+                if is_apart:
+                    assert rotated_iou_bev(a, b) == 0.0
+            # the slack is 1e-9 of the radius sum, so gaps well above it always separate
+            if gap >= 1e-6:
+                assert all(apart)
+
+    def test_side_by_side_slabs_evaluate_no_iou(self, monkeypatch):
+        # circumscribed circles of radius 3.01 m overlap, but the footprints are 0.1 m apart
+        a = Box3D(0.0, 0.0, 0.0, 6.0, 0.5, 1.5, 0.4)
+        b = Box3D(-0.6 * math.sin(0.4), 0.6 * math.cos(0.4), 0.0, 6.0, 0.5, 1.5, 0.4)
+        dets = [Detection(a, 0, 0.9, 0.5, 0.9), Detection(b, 0, 0.8, 0.5, 0.8)]
+        calls = count_iou_calls(monkeypatch)
+        assert nms(dets, 0.0) == dets
+        assert calls == []
 
     @pytest.mark.parametrize("gap", [-1e-6, -1e-12, 0.0, 1e-12, 1e-6])
     @pytest.mark.parametrize("x0", [0.0, 50.0])
