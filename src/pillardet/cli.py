@@ -64,11 +64,11 @@ def _read_csv(path, fields: tuple[str, ...], what: str) -> list[list]:
 
 
 def _box_row(b: Box3D) -> tuple:
-    return (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw)
+    return (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw, b.class_id)
 
 
 def write_boxes(boxes: list[Box3D], path) -> None:
-    _emit(BOX_FIELDS, [_box_row(b) + (b.class_id,) for b in boxes], "csv", path)
+    _emit(BOX_FIELDS, [_box_row(b) for b in boxes], "csv", path)
 
 
 def read_boxes(path) -> list[Box3D]:
@@ -76,12 +76,12 @@ def read_boxes(path) -> list[Box3D]:
 
 
 def write_detections(dets: list[Detection], path) -> None:
-    rows = [_box_row(d.box) + (d.class_id, d.cls_score, d.iou_score, d.final_score) for d in dets]
+    rows = [_box_row(d.box) + (d.cls_score, d.iou_score, d.final_score) for d in dets]
     _emit(DETECTION_FIELDS, rows, "csv", path)
 
 
 def read_detections(path) -> list[Detection]:
-    return [Detection(Box3D(*row[:8]), *row[7:]) for row in _read_csv(path, DETECTION_FIELDS, "detection")]
+    return [Detection(Box3D(*row[:8]), *row[8:]) for row in _read_csv(path, DETECTION_FIELDS, "detection")]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -92,12 +92,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _load_params(path: str, profile):
-    params, arch, mode = ckpt.load_checkpoint(path)
+    params, arch, _ = ckpt.load_checkpoint(path)
     if arch != profile.arch():
         raise ValidationError(
             f"checkpoint architecture {arch.as_dict()} does not match profile {profile.name!r}"
         )
-    return params, mode
+    return params
 
 
 def _scene_spec(profile, n_objects: int, points_per_object: int, n_background: int) -> SceneSpec:
@@ -157,7 +157,7 @@ def cmd_encode(args) -> int:
     profile = load_profile(args.profile)
     cloud = load_cloud(args.cloud)
     if args.checkpoint:
-        params, _ = _load_params(args.checkpoint, profile)
+        params = _load_params(args.checkpoint, profile)
     else:
         params = ckpt.new_params(profile.arch(), mode="identity")
     rows = [
@@ -209,7 +209,7 @@ def cmd_flops(args) -> int:
 def cmd_detect(args) -> int:
     profile = load_profile(args.profile)
     cloud = load_cloud(args.cloud)
-    params, _ = _load_params(args.checkpoint, profile)
+    params = _load_params(args.checkpoint, profile)
     inject = load_head_output(args.inject_head) if args.inject_head else None
     dets = run_detect(cloud, params, profile, inject_head=inject)
     write_detections(dets, args.out)
@@ -245,7 +245,7 @@ def cmd_train_step(args) -> int:
     cloud = load_cloud(args.cloud)
     boxes = read_boxes(args.boxes)
     if args.checkpoint:
-        params, _ = _load_params(args.checkpoint, profile)
+        params = _load_params(args.checkpoint, profile)
     else:
         params = ckpt.new_params(profile.arch(), mode="random", seed=args.seed)
     targets = render_gaussian_targets(boxes, profile.grid, profile.out_stride, profile.n_classes)

@@ -158,11 +158,9 @@ def encoder_backward(aug: np.ndarray, params: EncoderParams, upstream: np.ndarra
         raise ValidationError(f"upstream gradient must have shape ({params.dim},)")
 
     norm = params.norm
+    fwd = encode_pillar(aug, params)
+    pe, s, f_att = fwd.encoded, fwd.scores, fwd.f_att
     z = aug @ params.weight.T + params.bias
-    y = (z - norm.mean) * norm.scale + norm.beta
-    pe = np.maximum(y, 0.0)
-    s = attention_scores(pe, params)
-    f_att = (s * pe).sum(axis=0)
 
     half = upstream / 2.0
     d_pe = np.zeros_like(pe)
@@ -174,7 +172,7 @@ def encoder_backward(aug: np.ndarray, params: EncoderParams, upstream: np.ndarra
     d_score_weight = d_logits.T @ pe
     d_score_bias = d_logits.sum(axis=0)
 
-    d_y = d_pe * (y > 0.0)
+    d_y = d_pe * (pe > 0.0)  # pe = max(y, 0) is positive exactly where y is
     d_gamma = (d_y * (z - norm.mean)).sum(axis=0) / np.sqrt(norm.var + BN_EPS)
     d_beta = d_y.sum(axis=0)
     d_z = d_y * norm.scale

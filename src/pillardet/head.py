@@ -20,7 +20,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError
-from .geometry import Box3D, normalize_yaw, rotated_iou_bev
+from .geometry import Box3D, rotated_iou_bev
 from .nn import ConvParams, conv2d
 from .pillars import GridConfig
 
@@ -93,10 +93,13 @@ class HeadOutput:
 @dataclass(frozen=True, slots=True)
 class Detection:
     box: Box3D
-    class_id: int
     cls_score: float
     iou_score: float
     final_score: float
+
+    @property
+    def class_id(self) -> int:
+        return self.box.class_id
 
 
 def head_map_hw(grid: GridConfig, out_stride: int) -> tuple[int, int]:
@@ -122,6 +125,8 @@ def decode(
     Ties are broken deterministically by (row, col) order. Detections carry
     final_score = cls_score until rectification is applied.
     """
+    if k < 1:
+        raise ValidationError(f"decode keeps k >= 1 peaks, got k={k}")
     hm = out.heatmap
     _, h, w = hm.shape
     # only the cells above threshold can be peaks; np.flatnonzero keeps the C order of np.nonzero
@@ -142,10 +147,7 @@ def decode(
     cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
     iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
     boxes = decode_cells(out, grid, out_stride, rows, cols, cls_idx)
-    return [
-        Detection(box=box, class_id=c, cls_score=s, iou_score=i, final_score=s)
-        for box, c, s, i in zip(boxes, cls_idx.tolist(), scores.tolist(), iou_scores.tolist())
-    ]
+    return [Detection(box, s, i, s) for box, s, i in zip(boxes, scores.tolist(), iou_scores.tolist())]
 
 
 def decode_cells(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> list[Box3D]:
@@ -154,10 +156,14 @@ def decode_cells(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols,
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     cx = grid.range.x_min + (cols + 0.5 + out.offset[0, rows, cols]) * (out_stride * grid.pillar_x)
     cy = grid.range.y_min + (rows + 0.5 + out.offset[1, rows, cols]) * (out_stride * grid.pillar_y)
-    columns = (cx, cy, out.z[0, rows, cols], *np.exp(np.clip(out.size[:, rows, cols], *LOG_SIZE_BAND)))
-    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
-    yaws = [normalize_yaw(math.atan2(s, c)) for s, c in zip(*out.yaw[:, rows, cols].tolist())]
-    return [Box3D(*f, yaw, int(k)) for *f, yaw, k in zip(*(c.tolist() for c in columns), yaws, class_ids)]
+    sizes = np.exp(np.clip(out.size[:, rows, cols], *LOG_SIZE_BAND))
+    columns = (cx, cy, out.z[0, rows, cols], *sizes, *out.yaw[:, rows, cols])
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs; Box3D
+    # normalizes the yaw once, and normalize_yaw is idempotent on atan2 outputs
+    return [
+        Box3D(x, y, z, l, w, h, math.atan2(sin, cos), int(k))
+        for x, y, z, l, w, h, sin, cos, k in zip(*(col.tolist() for col in columns), class_ids)
+    ]
 
 
 def rectify_score(cls_score: float, iou_score: float, alpha: float) -> float:
@@ -175,7 +181,7 @@ def rectify_detections(dets: list[Detection], alpha) -> list[Detection]:
     """Apply rectification; ``alpha`` is a scalar or a per-class sequence."""
     per_class = not np.isscalar(alpha)
     return [
-        Detection(d.box, d.class_id, d.cls_score, d.iou_score,
+        Detection(d.box, d.cls_score, d.iou_score,
                   rectify_score(d.cls_score, d.iou_score, float(alpha[d.class_id] if per_class else alpha)))
         for d in dets
     ]
@@ -232,16 +238,15 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     can_overlap = np.subtract.outer(cx, cx) ** 2 + np.subtract.outer(cy, cy) ** 2 <= reach * reach
     if not class_agnostic:
         can_overlap &= np.equal.outer(classes, classes)
-    # rivals[p]: the higher-ranked boxes that can overlap box p, in rank order (row-major pairs)
+    # pairs (p, q) with q ranked above p, row-major: every pair of q comes before any of p,
+    # so q's fate is settled when p meets it
     later, earlier = divmod(np.flatnonzero(np.tril(can_overlap, -1)), len(boxes))
     meet = ~_apart(geom, later, earlier)
-    rivals = [[] for _ in boxes]
-    for p, q in zip(later[meet].tolist(), earlier[meet].tolist()):
-        rivals[p].append(q)
     limits = [float(thresh)] * len(boxes) if thresh.ndim == 0 else thresh[classes].tolist()
-    kept = [False] * len(boxes)
-    for p, box in enumerate(boxes):
-        kept[p] = not any(kept[q] and rotated_iou_bev(boxes[q], box) > limits[p] for q in rivals[p])
+    kept = [True] * len(boxes)
+    for p, q in zip(later[meet].tolist(), earlier[meet].tolist()):
+        if kept[p] and kept[q] and rotated_iou_bev(boxes[q], boxes[p]) > limits[p]:
+            kept[p] = False
     return [dets[i] for i in sorted(compress(order, kept))]
 
 

@@ -24,8 +24,9 @@ class LossWeights:
     reg: float = 0.25
 
     def __post_init__(self):
-        if min(self.cls, self.iou, self.reg) < 0.0:
-            raise ValidationError("loss weights must be non-negative")
+        weights = (self.cls, self.iou, self.reg)
+        if not all(math.isfinite(v) and v >= 0.0 for v in weights):
+            raise ValidationError(f"loss_weights must be finite and non-negative, got {weights}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import backbone_forward, neck_fuse
-from .checkpoint import ArchConfig, PipelineParams, backbone_config, fuse_params
+from .checkpoint import ArchConfig, PipelineParams, fuse_params
 from .encoder import encode_pillar
 from .errors import ValidationError
 from .head import (
@@ -140,9 +140,8 @@ def fusion_discrepancy(
     fused = fuse_params(params)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    cfg = backbone_config(arch, input_hw=(spatial, spatial))
     for _ in range(n_probes):
-        x = rng.normal(0.0, 1.0, (1, cfg.in_channels, spatial, spatial)).astype(np.float32)
+        x = rng.normal(0.0, 1.0, (1, arch.encoder_dim, spatial, spatial)).astype(np.float32)
         a, b = (_dense_forward(x, p).channels() for p in (params, fused))
         scale = max(float(np.max(np.abs(a))), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - b))) / scale)

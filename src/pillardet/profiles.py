@@ -46,6 +46,10 @@ class Profile:
         self.arch()  # the network shape is checked when the profile is built
         if self.canvas_reduction not in (1, 2):
             raise ValidationError("canvas_reduction must be 1 or 2")
+        if self.max_detections < 1:
+            raise ValidationError(f"max_detections must be >= 1, got {self.max_detections}")
+        if not 0.0 <= self.score_thresh <= 1.0:
+            raise ValidationError(f"score_thresh must lie in [0, 1], got {self.score_thresh}")
         for v, name in ((self.nms_iou, "nms_iou"), (self.rectify_alpha, "rectify_alpha")):
             scalar = isinstance(v, (int, float))
             if not scalar and len(v) != self.n_classes:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pillardet.cli import DETECTION_FIELDS, build_parser, main, read_boxes, read_detections, write_boxes
+from pillardet.cli import BOX_FIELDS, DETECTION_FIELDS, build_parser, main, read_boxes, read_detections, write_boxes
 from pillardet.geometry import Box3D
 from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, save_head_output
 from pillardet.losses import render_gaussian_targets
@@ -351,6 +352,24 @@ class TestInputErrors:
         assert "stage_channels must double" in capsys.readouterr().err
         assert not (tmp_path / "new.bin").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("max_detections", -45), ("score_thresh", float("nan")), ("loss_weights", [float("nan"), 1.0, 0.25]),
+    ])
+    @pytest.mark.parametrize("command", ["detect", "train-step"])
+    def test_profile_value_that_gives_wrong_results_exit_one(self, scene, train_ckpt, tmp_path, capsys,
+                                                             key, value, command):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(dict(DESK_PROFILE_JSON, **{key: value})))
+        io = {
+            "detect": ["--checkpoint", str(train_ckpt), "--out", str(tmp_path / "d.csv")],
+            "train-step": ["--boxes", str(scene) + ".boxes.csv"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--profile", str(profile), "--cloud", str(scene), *io]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and key in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_truncated_stage_blocks_manifest_exit_one(self, scene, train_ckpt, tmp_path, capsys):
         manifest = json.loads(train_ckpt.read_text())
         manifest["meta"]["arch"]["stage_blocks"] = [1, 1, 1]
@@ -367,6 +386,13 @@ def test_bench_times_the_fused_network(monkeypatch):
     monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, times: modes.append(params.mode))
     assert main(["bench", "--profile", "desk", "--sizes", "50", "--repeats", "2"]) == 0
     assert modes == ["fused", "fused"]
+
+
+def test_readme_file_formats_list_the_csv_headers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    headers = dict(re.findall(r"^- \*\*(\w+)\*\*: CSV\s+`([^`]+)`", section, flags=re.MULTILINE))
+    assert headers == {"Boxes": ",".join(BOX_FIELDS), "Detections": ",".join(DETECTION_FIELDS)}
 
 
 def test_readme_cli_block_parses():

@@ -73,8 +73,8 @@ def reference_decode(out, k, score_thresh):
     iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
     boxes = decode_cells(out, GRID, STRIDE, rows, cols, cls_idx)
     return [
-        Detection(box, int(c), float(s), float(i), float(s))
-        for box, c, s, i in zip(boxes, cls_idx, scores, iou_scores)
+        Detection(box, float(s), float(i), float(s))
+        for box, s, i in zip(boxes, scores, iou_scores)
     ]
 
 
@@ -149,6 +149,14 @@ class TestDecode:
         fields["heatmap"][0, 0, 0] = 1.0
         with pytest.raises(ValidationError):
             HeadOutput(**fields)
+
+    @pytest.mark.parametrize("k", [0, -45])
+    def test_k_below_one_rejected(self, k):
+        # a negative k would keep order[:k], all but the last |k| peaks
+        fields = empty_output()
+        fields["heatmap"][0, 2, 2] = 0.9
+        with pytest.raises(ValidationError, match="k >= 1"):
+            decode(HeadOutput(**fields), GRID, STRIDE, k=k, score_thresh=0.1)
 
     @pytest.mark.parametrize("score_thresh", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("shape", [(2, 1, 7), (1, 6, 1), (3, 9, 7), (2, 16, 16)])
@@ -250,8 +258,8 @@ class TestRectify:
 
     def test_per_class_exponents(self):
         dets = [
-            Detection(Box3D(0, 0, 0, 1, 1, 1, 0, 0), 0, 0.64, 0.25, 0.64),
-            Detection(Box3D(0, 0, 0, 1, 1, 1, 0, 1), 1, 0.64, 0.25, 0.64),
+            Detection(Box3D(0, 0, 0, 1, 1, 1, 0, 0), 0.64, 0.25, 0.64),
+            Detection(Box3D(0, 0, 0, 1, 1, 1, 0, 1), 0.64, 0.25, 0.64),
         ]
         out = rectify_detections(dets, (0.0, 0.5))
         assert out[0].final_score == pytest.approx(0.64)
@@ -370,7 +378,7 @@ def test_rotated_iou_is_a_symmetric_share(a, b):
 
 detections_strategy = st.lists(
     st.builds(
-        lambda box, c, score: Detection(dataclasses.replace(box, class_id=c), c, score, 0.5, score),
+        lambda box, c, score: Detection(dataclasses.replace(box, class_id=c), score, 0.5, score),
         box_strategy,
         st.integers(0, 2),
         st.floats(0.05, 1.0),
@@ -395,7 +403,7 @@ def test_nms_keeps_an_idempotent_non_overlapping_subsequence(dets, thresh, class
 @settings(derandomize=True, database=None, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0)), max_size=8))
 def test_rectify_endpoints_give_cls_and_iou(scores):
-    dets = [Detection(Box3D(0, 0, 0, 1, 1, 1, 0), 0, c, i, c) for c, i in scores]
+    dets = [Detection(Box3D(0, 0, 0, 1, 1, 1, 0), c, i, c) for c, i in scores]
     assert [d.final_score for d in rectify_detections(dets, 0.0)] == [c for c, _ in scores]
     assert [d.final_score for d in rectify_detections(dets, 1.0)] == [i for _, i in scores]
 
@@ -447,6 +455,28 @@ def test_decode_cells_equals_per_cell_decode_bitwise(out, cells):
     assert [box_bits(b) for b in got] == [box_bits(b) for b in want]
 
 
+def test_normalize_yaw_is_idempotent_on_atan2_outputs():
+    # decode_cells hands math.atan2 outputs straight to Box3D, which normalizes once
+    rng = np.random.default_rng(17)
+    special = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, 1.0, -1.0, math.inf, -math.inf)
+    pairs = [(s, c) for s in special for c in special]
+    pairs += [tuple(v) for v in rng.normal(size=(20000, 2)) * rng.choice([1e-300, 1e-8, 1.0, 1e300], (20000, 1))]
+    # headings within 40 ulp of the seams at +-pi, +-pi/2 and 0, as (sin, cos) pairs and as
+    # pairs that put atan2 on the seam side of the cut (sin a signed zero or subnormal)
+    for seam in (-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi):
+        yaw = seam
+        for _ in range(40):
+            yaw = math.nextafter(yaw, -math.inf)
+        for _ in range(81):
+            pairs.append((math.sin(yaw), math.cos(yaw)))
+            yaw = math.nextafter(yaw, math.inf)
+    pairs += [(s, -c) for s in (0.0, -0.0, 5e-324, -5e-324) for c in (1.0, 1e-300, 1e300)]
+    for s, c in pairs:
+        once = normalize_yaw(math.atan2(s, c))
+        assert normalize_yaw(once).hex() == once.hex(), (s, c)
+    assert normalize_yaw(math.atan2(0.0, -1.0)) == -math.pi and normalize_yaw(math.atan2(-0.0, -1.0)) == -math.pi
+
+
 def naive_nms(dets, iou_thresh, class_agnostic):
     """Quadratic reference: explicit suppression table."""
     n = len(dets)
@@ -476,7 +506,7 @@ def random_detections(rng, n, n_classes=3):
         box = Box3D(box.cx, box.cy, 0.0, box.l, box.w, box.h, box.yaw, int(rng.integers(n_classes)))
         cls = float(rng.uniform(0.05, 1.0))
         iou = float(rng.uniform(0.0, 1.0))
-        out.append(Detection(box, box.class_id, cls, iou, cls))
+        out.append(Detection(box, cls, iou, cls))
     return out
 
 
@@ -487,18 +517,18 @@ class TestNMS:
 
     def test_identical_boxes_highest_kept(self):
         b = Box3D(0, 0, 0, 2, 1, 1, 0.2, 0)
-        dets = [Detection(b, 0, 0.4, 0.5, 0.4), Detection(b, 0, 0.9, 0.5, 0.9)]
+        dets = [Detection(b, 0.4, 0.5, 0.4), Detection(b, 0.9, 0.5, 0.9)]
         assert nms(dets, 0.5) == [dets[1]]
 
     def test_tie_breaks_by_input_index(self):
         b = Box3D(0, 0, 0, 2, 1, 1, 0.2, 0)
-        dets = [Detection(b, 0, 0.5, 0.5, 0.5), Detection(b, 0, 0.5, 0.5, 0.5)]
+        dets = [Detection(b, 0.5, 0.5, 0.5), Detection(b, 0.5, 0.5, 0.5)]
         assert nms(dets, 0.5) == [dets[0]]
 
     def test_class_specific_keeps_cross_class_overlap(self):
         b = Box3D(0, 0, 0, 2, 1, 1, 0.2, 0)
         b2 = Box3D(0, 0, 0, 2, 1, 1, 0.2, 1)
-        dets = [Detection(b, 0, 0.9, 0.5, 0.9), Detection(b2, 1, 0.8, 0.5, 0.8)]
+        dets = [Detection(b, 0.9, 0.5, 0.9), Detection(b2, 0.8, 0.5, 0.8)]
         assert len(nms(dets, 0.5, class_agnostic=False)) == 2
         assert len(nms(dets, 0.5, class_agnostic=True)) == 1
 
@@ -535,7 +565,7 @@ def detections_at(rng, centers, n_classes=3):
         k = int(rng.integers(n_classes))
         box = Box3D(cx, cy, 0.0, rng.uniform(2.0, 5.0), rng.uniform(1.2, 2.4), 1.5, rng.uniform(-math.pi, math.pi), k)
         score = float(rng.uniform(0.2, 1.0))
-        dets.append(Detection(box, k, score, 0.5, score))
+        dets.append(Detection(box, score, 0.5, score))
     return dets
 
 
@@ -577,7 +607,7 @@ def elongated_detections(rng, n_rows=8, per_row=6, n_scattered=60, half_range=30
     for cx, cy, l, w, yaw in dets:
         k = int(rng.integers(3))
         score = float(rng.uniform(0.2, 1.0))
-        out.append(Detection(Box3D(cx, cy, 0.0, l, w, 1.5, yaw, k), k, score, 0.5, score))
+        out.append(Detection(Box3D(cx, cy, 0.0, l, w, 1.5, yaw, k), score, 0.5, score))
     return out
 
 
@@ -637,7 +667,7 @@ class TestNMSOverlapMask:
         # circumscribed circles of radius 3.01 m overlap, but the footprints are 0.1 m apart
         a = Box3D(0.0, 0.0, 0.0, 6.0, 0.5, 1.5, 0.4)
         b = Box3D(-0.6 * math.sin(0.4), 0.6 * math.cos(0.4), 0.0, 6.0, 0.5, 1.5, 0.4)
-        dets = [Detection(a, 0, 0.9, 0.5, 0.9), Detection(b, 0, 0.8, 0.5, 0.8)]
+        dets = [Detection(a, 0.9, 0.5, 0.9), Detection(b, 0.8, 0.5, 0.8)]
         calls = count_iou_calls(monkeypatch)
         assert nms(dets, 0.0) == dets
         assert calls == []
@@ -650,7 +680,7 @@ class TestNMSOverlapMask:
         yaw = -math.atan2(w, l)
         a = Box3D(x0, 0.0, 0.0, l, w, 1.0, yaw)
         b = Box3D(x0 + math.hypot(l, w) + gap, 0.0, 0.0, l, w, 1.0, yaw)
-        dets = [Detection(a, 0, 0.9, 0.5, 0.9), Detection(b, 0, 0.8, 0.5, 0.8)]
+        dets = [Detection(a, 0.9, 0.5, 0.9), Detection(b, 0.8, 0.5, 0.8)]
         assert nms(dets, 0.0) == [dets[i] for i in naive_nms(dets, 0.0, False)]
         if gap < -1e-9:
             assert nms(dets, 0.0) == dets[:1]
@@ -674,6 +704,48 @@ class TestNMSOverlapMask:
         dets = random_detections(np.random.default_rng(14), 4)
         with pytest.raises(ValidationError, match="NMS IoU threshold"):
             nms(dets, thresh)
+
+
+def rival_list_nms(dets, iou_thresh, class_agnostic, iou):
+    """Reference: NMS that first lists each candidate's rivals (the higher-ranked boxes
+    ``_apart`` does not separate from it within the circle mask), then tests a candidate
+    against its kept rivals in rank order until one suppresses it. ``iou`` is called as
+    ``iou(rival, candidate)``; returns the kept input indices."""
+    thresh = np.asarray(iou_thresh, dtype=np.float64)
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].final_score, i))
+    boxes = [dets[i].box for i in order]
+    classes = [dets[i].class_id for i in order]
+    geom = np.array([(b.cx, b.cy, b.l, b.w, b.yaw) for b in boxes]).reshape(-1, 5)
+    cx, cy, l, w, _ = geom.T
+    reach = np.add.outer(np.hypot(l, w) / 2.0, np.hypot(l, w) / 2.0) * (1.0 + 1e-9)
+    can_overlap = np.subtract.outer(cx, cx) ** 2 + np.subtract.outer(cy, cy) ** 2 <= reach * reach
+    if not class_agnostic:
+        can_overlap &= np.equal.outer(classes, classes)
+    later, earlier = divmod(np.flatnonzero(np.tril(can_overlap, -1)), len(boxes))
+    meet = ~_apart(geom, later, earlier)
+    rivals = [[] for _ in boxes]
+    for p, q in zip(later[meet].tolist(), earlier[meet].tolist()):
+        rivals[p].append(q)
+    limits = [float(thresh)] * len(boxes) if thresh.ndim == 0 else thresh[classes].tolist()
+    kept = [False] * len(boxes)
+    for p, box in enumerate(boxes):
+        kept[p] = not any(kept[q] and iou(boxes[q], box) > limits[p] for q in rivals[p])
+    return sorted(i for i, k in zip(order, kept) if k)
+
+
+class TestNMSCallSequence:
+    @pytest.mark.parametrize("class_agnostic", [False, True])
+    @pytest.mark.parametrize("thresh", [0.0, 0.2, (0.1, 0.5, 0.8)])
+    def test_same_ordered_iou_calls_as_rival_lists(self, monkeypatch, class_agnostic, thresh):
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            dets = crowded_detections(rng)
+            want_calls = []
+            want = rival_list_nms(dets, thresh, class_agnostic,
+                                  lambda a, b: want_calls.append((a, b)) or rotated_iou_bev(a, b))
+            calls = count_iou_calls(monkeypatch)
+            assert nms(dets, thresh, class_agnostic) == [dets[i] for i in want]
+            assert calls == want_calls and calls
 
 
 class TestDetectionRecords:

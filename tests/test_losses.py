@@ -341,3 +341,8 @@ class TestTotal:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             LossWeights(-1.0, 1.0, 0.25)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0, 0.25), (1.0, math.inf, 0.25), (1.0, 1.0, -math.inf)])
+    def test_non_finite_weight_rejected(self, weights):
+        with pytest.raises(ValidationError, match="loss_weights must be finite"):
+            LossWeights(*weights)

@@ -179,6 +179,33 @@ class TestProfiles:
             with pytest.raises(ValidationError, match=f"{key} values must lie in \\[0, 1\\]"):
                 load_profile(str(p))
 
+    @pytest.mark.parametrize("key,value,ok", [
+        ("max_detections", -45, False),
+        ("max_detections", 0, False),
+        ("max_detections", 1, True),
+        ("score_thresh", float("nan"), False),
+        ("score_thresh", float("inf"), False),
+        ("score_thresh", -0.1, False),
+        ("score_thresh", 1.5, False),
+        ("score_thresh", 0.0, True),
+        ("loss_weights", [float("nan"), 1.0, 0.25], False),
+        ("loss_weights", [1.0, float("inf"), 0.25], False),
+        ("loss_weights", [1.0, 1.0, float("-inf")], False),
+    ])
+    def test_values_that_would_silently_give_wrong_results_rejected(self, tmp_path, key, value, ok):
+        import json
+
+        from pillardet.errors import ValidationError
+
+        p = tmp_path / "profile.json"
+        # json writes the NaN and Infinity literals that json.loads reads back
+        p.write_text(json.dumps(dict(DESK_PROFILE_JSON, **{key: value})))
+        if ok:
+            assert load_profile(str(p)).name == "desk-file"
+        else:
+            with pytest.raises(ValidationError, match=key):
+                load_profile(str(p))
+
     def test_file_profiles_in_the_repo_load(self):
         from pathlib import Path
 
