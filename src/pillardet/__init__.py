@@ -14,16 +14,7 @@ from .pointcloud import (
     save_cloud,
 )
 from .pillars import BEVCanvas, GridConfig, Pillar, assign_pillars, augment_points, scatter
-from .encoder import (
-    EncoderGrads,
-    EncoderParams,
-    PillarFeature,
-    attention_pool,
-    encode_pillar,
-    encode_points,
-    encoder_backward,
-    max_pool,
-)
+from .encoder import EncoderGrads, EncoderParams, PillarFeature, encode_pillar, encoder_backward
 from .nn import (
     BNParams,
     ConvParams,

@@ -101,12 +101,9 @@ def new_params(arch: ArchConfig, mode: str = "random", seed: int = 0) -> Pipelin
     )
 
 
-def backbone_config(arch: ArchConfig, input_hw: tuple[int, int] = (64, 64)) -> BackboneConfig:
+def backbone_config(arch: ArchConfig) -> BackboneConfig:
     return BackboneConfig(
-        stage_blocks=arch.stage_blocks,
-        stage_channels=arch.stage_channels,
-        in_channels=arch.encoder_dim,
-        input_hw=input_hw,
+        stage_blocks=arch.stage_blocks, stage_channels=arch.stage_channels, in_channels=arch.encoder_dim
     )
 
 

@@ -3,9 +3,11 @@
 Each pillar's points are lifted to D dims by an affine map with folded
 normalization statistics and a rectifier, then reduced two ways: a channel
 max, and a per-channel softmax-weighted sum over the points (scores sum to 1
-per channel). The pillar feature is the mean of the two reductions. Both the
-forward pass and exact analytic gradients are provided; everything is a pure
-function of its inputs, so pillars can be encoded concurrently.
+per channel). The pillar feature is the mean of the two reductions.
+``encode_pillar`` is the one forward and computes each stage once;
+``encoder_backward`` gives exact analytic gradients from that forward's
+intermediates (the lift included), with no affine of its own. Everything is a
+pure function of its inputs, so pillars can be encoded concurrently.
 """
 
 from __future__ import annotations
@@ -78,60 +80,32 @@ class PillarFeature:
     f_att: np.ndarray | None = None
     scores: np.ndarray | None = None
     encoded: np.ndarray | None = None
+    z: np.ndarray | None = None  # the point lift before normalization
 
 
-def _check_points(aug: np.ndarray, params: EncoderParams) -> np.ndarray:
+def encode_pillar(aug: np.ndarray, params: EncoderParams, keep_intermediates: bool = True) -> PillarFeature:
+    """Full pillar encoding of (N_v, AUGMENTED_DIM) points: f = (max-pooled + attention-pooled) / 2.
+
+    The points are lifted to rectifier(normalize(affine(aug))); f_max is the
+    channel max over points, and f_att the sum of points weighted by a
+    per-channel softmax over points of the score-affine logits.
+    """
     aug = np.asarray(aug, dtype=np.float64)
     if aug.ndim != 2 or aug.shape[1] != AUGMENTED_DIM:
         raise ValidationError(f"augmented points must be (N, {AUGMENTED_DIM}), got {aug.shape}")
     if aug.shape[0] < 1:
         raise ValidationError("cannot encode an empty pillar")
-    return aug
-
-
-def encode_points(aug: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Lift augmented points to (N_v, D): rectifier(normalize(affine(aug)))."""
-    aug = _check_points(aug, params)
+    norm = params.norm
     z = aug @ params.weight.T + params.bias
-    y = (z - params.norm.mean) * params.norm.scale + params.norm.beta
-    return np.maximum(y, 0.0)
-
-
-def max_pool(encoded: np.ndarray) -> np.ndarray:
-    """Channel-wise max over the point axis."""
-    encoded = np.asarray(encoded, dtype=np.float64)
-    if encoded.ndim != 2 or encoded.shape[0] < 1:
-        raise ValidationError("max_pool needs a non-empty (N, D) matrix")
-    return encoded.max(axis=0)
-
-
-def attention_scores(encoded: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Per-channel softmax over points of the score-affine logits; columns sum to 1."""
-    logits = encoded @ params.score_weight.T + params.score_bias
-    logits = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=0, keepdims=True)
-
-
-def attention_pool(encoded: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Score-weighted sum over points; returns (feature (D,), scores (N, D))."""
-    encoded = np.asarray(encoded, dtype=np.float64)
-    if encoded.ndim != 2 or encoded.shape[0] < 1:
-        raise ValidationError("attention_pool needs a non-empty (N, D) matrix")
-    if encoded.shape[1] != params.dim:
-        raise ValidationError(f"encoded width {encoded.shape[1]} != encoder dim {params.dim}")
-    s = attention_scores(encoded, params)
-    return (s * encoded).sum(axis=0), s
-
-
-def encode_pillar(aug: np.ndarray, params: EncoderParams, keep_intermediates: bool = True) -> PillarFeature:
-    """Full pillar encoding: f = (max-pooled + attention-pooled) / 2."""
-    pe = encode_points(aug, params)
-    f_max = max_pool(pe)
-    f_att, scores = attention_pool(pe, params)
+    pe = np.maximum((z - norm.mean) * norm.scale + norm.beta, 0.0)
+    f_max = pe.max(axis=0)
+    logits = pe @ params.score_weight.T + params.score_bias
+    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    scores = e / e.sum(axis=0, keepdims=True)
+    f_att = (scores * pe).sum(axis=0)
     f = (f_max + f_att) / 2.0
     if keep_intermediates:
-        return PillarFeature(f=f, f_max=f_max, f_att=f_att, scores=scores, encoded=pe)
+        return PillarFeature(f=f, f_max=f_max, f_att=f_att, scores=scores, encoded=pe, z=z)
     return PillarFeature(f=f)
 
 
@@ -152,15 +126,14 @@ def encoder_backward(aug: np.ndarray, params: EncoderParams, upstream: np.ndarra
     The max branch routes through the first maximizing point per channel; the
     rectifier uses the y > 0 subgradient.
     """
-    aug = _check_points(aug, params)
+    fwd = encode_pillar(aug, params)
+    pe, s, f_att, z = fwd.encoded, fwd.scores, fwd.f_att, fwd.z
+    aug = np.asarray(aug, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (params.dim,):
         raise ValidationError(f"upstream gradient must have shape ({params.dim},)")
 
     norm = params.norm
-    fwd = encode_pillar(aug, params)
-    pe, s, f_att = fwd.encoded, fwd.scores, fwd.f_att
-    z = aug @ params.weight.T + params.bias
 
     half = upstream / 2.0
     d_pe = np.zeros_like(pe)

@@ -45,24 +45,28 @@ class Targets:
     centers: tuple  # ((row, col, class_id), ...) per input box
 
 
-def gaussian_radius(height: float, width: float, min_overlap: float = 0.7) -> float:
-    """Peak radius (cells) keeping >= min_overlap IoU under unit jitter.
+# a box jittered within the Gaussian peak's radius keeps at least this IoU
+MIN_OVERLAP = 0.7
+
+
+def gaussian_radius(height: float, width: float) -> float:
+    """Peak radius (cells) keeping >= MIN_OVERLAP IoU under unit jitter.
 
     The de-facto quadratic-root rule of center-based heads.
     """
     a1 = 1.0
     b1 = height + width
-    c1 = width * height * (1.0 - min_overlap) / (1.0 + min_overlap)
+    c1 = width * height * (1.0 - MIN_OVERLAP) / (1.0 + MIN_OVERLAP)
     r1 = (b1 - math.sqrt(b1 * b1 - 4.0 * a1 * c1)) / (2.0 * a1)
 
     a2 = 4.0
     b2 = 2.0 * (height + width)
-    c2 = (1.0 - min_overlap) * width * height
+    c2 = (1.0 - MIN_OVERLAP) * width * height
     r2 = (b2 - math.sqrt(b2 * b2 - 4.0 * a2 * c2)) / (2.0 * a2)
 
-    a3 = 4.0 * min_overlap
-    b3 = -2.0 * min_overlap * (height + width)
-    c3 = (min_overlap - 1.0) * width * height
+    a3 = 4.0 * MIN_OVERLAP
+    b3 = -2.0 * MIN_OVERLAP * (height + width)
+    c3 = (MIN_OVERLAP - 1.0) * width * height
     r3 = (b3 + math.sqrt(b3 * b3 - 4.0 * a3 * c3)) / (2.0 * a3)
     return min(r1, r2, r3)
 
@@ -94,7 +98,6 @@ def render_gaussian_targets(
     grid: GridConfig,
     out_stride: int,
     n_classes: int,
-    min_overlap: float = 0.7,
 ) -> Targets:
     """Targets on the head map: Gaussian heatmap peaks plus center-cell regression."""
     h, w = head_map_hw(grid, out_stride)
@@ -113,7 +116,7 @@ def render_gaussian_targets(
         col, row = int(math.floor(u)), int(math.floor(v))
         if not (0 <= col < w and 0 <= row < h):
             raise ValidationError(f"box {i}: center falls outside the head map")
-        radius = gaussian_radius(b.w / cell_y, b.l / cell_x, min_overlap)
+        radius = gaussian_radius(b.w / cell_y, b.l / cell_x)
         if not math.isfinite(radius):
             raise ValidationError(f"box {i}: Gaussian radius is not finite for l={b.l:g} w={b.w:g}")
         radius = max(0, int(radius))

@@ -90,13 +90,13 @@ def assign_pillars(cloud: PointCloud, cfg: GridConfig) -> list[Pillar]:
     np.minimum(ix, cfg.nx - 1, out=ix)
     np.minimum(iy, cfg.ny - 1, out=iy)
 
-    order = np.lexsort((ix, iy))
+    order = np.lexsort((ix, iy))  # stable, so each pillar's point indices ascend
     key = iy[order] * cfg.nx + ix[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     bounds = np.r_[starts, key.size]
     pillars = []
     for s, e in zip(bounds[:-1], bounds[1:]):
-        members = np.sort(order[s:e])
+        members = order[s:e]
         pillars.append(Pillar(int(ix[members[0]]), int(iy[members[0]]), members))
     return pillars
 

@@ -123,13 +123,11 @@ def head_output_from_targets(targets: Targets) -> HeadOutput:
     return HeadOutput(**split_channels(np.concatenate([heatmap, targets.reg, 2.0 * targets.iou - 1.0])))
 
 
-def fusion_discrepancy(
-    params: PipelineParams,
-    arch: ArchConfig,
-    n_probes: int = 8,
-    spatial: int = 16,
-    seed: int = 0,
-) -> float:
+# side of the square random canvases the fusion probe runs through the network
+FUSION_PROBE_HW = 16
+
+
+def fusion_discrepancy(params: PipelineParams, arch: ArchConfig, n_probes: int = 8, seed: int = 0) -> float:
     """Max relative disagreement between train-mode and fused network forwards.
 
     Probes random canvases through both parameter sets and compares every
@@ -141,7 +139,7 @@ def fusion_discrepancy(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
-        x = rng.normal(0.0, 1.0, (1, arch.encoder_dim, spatial, spatial)).astype(np.float32)
+        x = rng.normal(0.0, 1.0, (1, arch.encoder_dim, FUSION_PROBE_HW, FUSION_PROBE_HW)).astype(np.float32)
         a, b = (_dense_forward(x, p).channels() for p in (params, fused))
         scale = max(float(np.max(np.abs(a))), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - b))) / scale)

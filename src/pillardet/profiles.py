@@ -48,8 +48,8 @@ class Profile:
             raise ValidationError("canvas_reduction must be 1 or 2")
         if self.max_detections < 1:
             raise ValidationError(f"max_detections must be >= 1, got {self.max_detections}")
-        if not 0.0 <= self.score_thresh <= 1.0:
-            raise ValidationError(f"score_thresh must lie in [0, 1], got {self.score_thresh}")
+        if not 0.0 <= self.score_thresh < 1.0:  # every heatmap value lies below 1
+            raise ValidationError(f"score_thresh must lie in [0, 1), got {self.score_thresh}")
         for v, name in ((self.nms_iou, "nms_iou"), (self.rectify_alpha, "rectify_alpha")):
             scalar = isinstance(v, (int, float))
             if not scalar and len(v) != self.n_classes:

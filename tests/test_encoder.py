@@ -1,18 +1,16 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pillardet.encoder import (
-    EncoderParams,
-    attention_pool,
-    encode_pillar,
-    encode_points,
-    encoder_backward,
-    max_pool,
-)
+from pillardet.encoder import EncoderParams, encode_pillar, encoder_backward
 from pillardet.errors import ValidationError
+
+# sha256 over every forward field and every gradient of ``encoder_cases()``;
+# a change to the encoder's float order moves it, and says why.
+ENCODER_DIGEST = "5aaaf36ce734b8fb577f867d7f4a1ed2183c40d84a74c3ebef0228e57396b403"
 
 
 def naive_encode(aug, p):
@@ -51,15 +49,63 @@ def stable_instance(seed, n_max=8, d_max=16, relu_margin=1e-2, max_gap=1e-3):
     raise AssertionError("could not build a kink-free instance")
 
 
+def pool(pe, rng=None):
+    """``encode_pillar`` of points whose lifted features are exactly ``pe``.
+
+    ``pe`` is (N, D) with D <= 11 and non-negative, so the identity lift
+    passes it through; ``rng`` draws a random score affine, else it is zero.
+    """
+    pe = np.asarray(pe, dtype=np.float64)
+    n, d = pe.shape
+    p = EncoderParams.identity(d)
+    if rng is not None:
+        p = replace(p, score_weight=rng.normal(0.0, 0.4, (d, d)), score_bias=rng.normal(0.0, 0.2, d))
+    aug = np.zeros((n, 11))
+    aug[:, :d] = pe
+    feat = encode_pillar(aug, p)
+    assert np.array_equal(feat.encoded, pe)
+    return feat
+
+
+def encoder_cases(seed=40, count=2000):
+    """Seeded (aug, params, upstream): dims and point counts 1-64; every third
+    case has identity params, half of those with non-negative input."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, d = (int(v) for v in rng.integers(1, 65, 2))
+        aug = rng.normal(0.0, 1.0, (n, 11))
+        if i % 3 == 0:
+            p = EncoderParams.identity(d)
+            aug = np.abs(aug) if i % 2 else aug
+        else:
+            p = EncoderParams.random(rng, d)
+        yield aug, p, rng.normal(0.0, 1.0, d)
+
+
+def test_forward_and_gradient_bits_are_pinned():
+    h = hashlib.sha256()
+    for aug, p, upstream in encoder_cases():
+        full = encode_pillar(aug, p)
+        lean = encode_pillar(aug, p, keep_intermediates=False)
+        assert lean.f_max is None and lean.f_att is None and lean.scores is None and lean.encoded is None
+        g = encoder_backward(aug, p, upstream)
+        for a in (
+            full.f, full.f_max, full.f_att, full.scores, full.encoded, lean.f,
+            g.weight, g.bias, g.norm_gamma, g.norm_beta, g.score_weight, g.score_bias, g.inputs,
+        ):
+            h.update(a.tobytes())
+    assert h.hexdigest() == ENCODER_DIGEST
+
+
 class TestEncodePoints:
     def test_identity_configuration(self):
         p = EncoderParams.identity()
         aug = np.abs(np.random.default_rng(0).normal(size=(4, 11)))
-        np.testing.assert_allclose(encode_points(aug, p), aug, atol=1e-12)
+        np.testing.assert_allclose(encode_pillar(aug, p).encoded, aug, atol=1e-12)
 
     def test_zero_input_zero_bias(self):
         p = EncoderParams.identity()
-        out = encode_points(np.zeros((3, 11)), p)
+        out = encode_pillar(np.zeros((3, 11)), p).encoded
         assert not out.any()
 
     def test_matches_naive_reimplementation(self):
@@ -67,66 +113,62 @@ class TestEncodePoints:
         for seed in range(10):
             aug = rng.normal(size=(int(rng.integers(1, 9)), 11))
             p = EncoderParams.random(rng, int(rng.integers(1, 17)))
-            np.testing.assert_allclose(encode_points(aug, p), naive_encode(aug, p), atol=1e-6)
+            np.testing.assert_allclose(encode_pillar(aug, p).encoded, naive_encode(aug, p), atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            encode_points(np.zeros((2, 7)), EncoderParams.identity())
+            encode_pillar(np.zeros((2, 7)), EncoderParams.identity())
 
     def test_empty_pillar_rejected(self):
         with pytest.raises(ValidationError):
-            encode_points(np.zeros((0, 11)), EncoderParams.identity())
+            encode_pillar(np.zeros((0, 11)), EncoderParams.identity())
 
 
 class TestMaxPool:
     def test_small_case(self):
-        np.testing.assert_array_equal(max_pool(np.array([[1.0, 5.0], [3.0, 2.0]])), [3.0, 5.0])
+        np.testing.assert_array_equal(pool([[1.0, 5.0], [3.0, 2.0]]).f_max, [3.0, 5.0])
 
     def test_single_point_identity(self):
         row = np.array([[0.3, 0.1, 4.0]])
-        np.testing.assert_array_equal(max_pool(row), row[0])
+        np.testing.assert_array_equal(pool(row).f_max, row[0])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        pe = rng.normal(size=(6, 5))
-        base = max_pool(pe)
+        pe = np.abs(rng.normal(size=(6, 5)))
+        base = pool(pe).f_max
         for _ in range(10):
-            np.testing.assert_array_equal(max_pool(pe[rng.permutation(6)]), base)
+            np.testing.assert_array_equal(pool(pe[rng.permutation(6)]).f_max, base)
 
 
 class TestAttentionPool:
     def test_single_point_forces_unit_scores(self):
         rng = np.random.default_rng(3)
-        p = EncoderParams.random(rng, 4)
-        pe = rng.normal(size=(1, 4))
-        f, s = attention_pool(pe, p)
-        np.testing.assert_allclose(s, 1.0)
-        np.testing.assert_allclose(f, pe[0])
+        pe = np.abs(rng.normal(size=(1, 4)))
+        feat = pool(pe, rng)
+        np.testing.assert_allclose(feat.scores, 1.0)
+        np.testing.assert_allclose(feat.f_att, pe[0])
 
     def test_equal_logits_mean(self):
-        p = EncoderParams.identity(3)  # zero score affine -> equal logits
         pe = np.array([[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
-        f, s = attention_pool(pe, p)
-        np.testing.assert_allclose(s, 0.5)
-        np.testing.assert_allclose(f, pe.mean(axis=0))
+        feat = pool(pe)  # zero score affine -> equal logits
+        np.testing.assert_allclose(feat.scores, 0.5)
+        np.testing.assert_allclose(feat.f_att, pe.mean(axis=0))
 
     def test_scores_sum_to_one_and_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            pe = rng.normal(size=(int(rng.integers(1, 12)), 6))
-            p = EncoderParams.random(rng, 6)
-            _, s = attention_pool(pe, p)
+            aug = rng.normal(size=(int(rng.integers(1, 12)), 11))
+            s = encode_pillar(aug, EncoderParams.random(rng, 6)).scores
             np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-6)
             assert np.all(s > 0.0) and np.all(s <= 1.0)
 
     def test_convex_combination(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            pe = rng.normal(size=(int(rng.integers(2, 10)), 4))
-            p = EncoderParams.random(rng, 4)
-            f, _ = attention_pool(pe, p)
-            assert np.all(f >= pe.min(axis=0) - 1e-12)
-            assert np.all(f <= pe.max(axis=0) + 1e-12)
+            aug = rng.normal(size=(int(rng.integers(2, 10)), 11))
+            feat = encode_pillar(aug, EncoderParams.random(rng, 4))
+            assert np.all(feat.f_att >= feat.encoded.min(axis=0) - 1e-12)
+            assert np.all(feat.f_att <= feat.encoded.max(axis=0) + 1e-12)
 
 
 class TestEncodePillar:
@@ -161,6 +203,15 @@ class TestEncodePillar:
         feat = encode_pillar(aug, p)
         np.testing.assert_array_equal(feat.f_max, feat.f_att)
         np.testing.assert_array_equal(feat.f, feat.encoded[0])
+
+    def test_lift_is_kept_and_feeds_the_features(self):
+        rng = np.random.default_rng(9)
+        aug = rng.normal(size=(5, 11))
+        p = EncoderParams.random(rng, 7)
+        feat = encode_pillar(aug, p)
+        assert np.array_equal(feat.z, aug @ p.weight.T + p.bias)
+        assert np.array_equal(feat.encoded, np.maximum((feat.z - p.norm.mean) * p.norm.scale + p.norm.beta, 0.0))
+        assert encode_pillar(aug, p, keep_intermediates=False).z is None
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)

@@ -116,7 +116,7 @@ class TestProfiles:
         ("nms_class_agnostic", "false", False),
         ("canvas_reduction", 2.7, False),
         ("max_detections", True, False),
-        ("score_thresh", 1, True),
+        ("score_thresh", 0, True),
         ("nms_iou", 1, True),
     ])
     def test_profile_values_checked_against_declared_types(self, tmp_path, key, value, ok):
@@ -187,6 +187,7 @@ class TestProfiles:
         ("score_thresh", float("inf"), False),
         ("score_thresh", -0.1, False),
         ("score_thresh", 1.5, False),
+        ("score_thresh", 1, False),
         ("score_thresh", 0.0, True),
         ("loss_weights", [float("nan"), 1.0, 0.25], False),
         ("loss_weights", [1.0, float("inf"), 0.25], False),
@@ -277,7 +278,7 @@ class TestFusionProbe:
     def test_train_fused_agreement(self):
         arch = DESK.arch()
         params = new_params(arch, mode="random", seed=3)
-        assert fusion_discrepancy(params, arch, n_probes=4, spatial=16, seed=0) < 1e-4
+        assert fusion_discrepancy(params, arch, n_probes=4, seed=0) < 1e-4
 
     def test_fused_params_rejected(self):
         arch = DESK.arch()
