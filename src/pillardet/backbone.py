@@ -221,19 +221,6 @@ class MacReport:
     transition_macs: tuple[int, int, int, int]  # stem first
     total: int
 
-    def as_dict(self) -> dict:
-        return {
-            "stage_blocks": list(self.stage_blocks),
-            "stage_channels": list(self.stage_channels),
-            "in_channels": self.in_channels,
-            "input_hw": list(self.input_hw),
-            "stage_hw": [list(hw) for hw in self.stage_hw],
-            "per_block_macs": list(self.per_block),
-            "stage_block_macs": list(self.stage_totals),
-            "transition_macs": list(self.transition_macs),
-            "total_macs": self.total,
-        }
-
 
 def count_macs(cfg: BackboneConfig) -> MacReport:
     """Exact integer MACs of all convs (stem, transitions, blocks)."""
@@ -258,29 +245,9 @@ def count_macs(cfg: BackboneConfig) -> MacReport:
     )
 
 
-@dataclass(frozen=True)
-class ParamReport:
-    stage_blocks: tuple[int, int, int, int]
-    stage_channels: tuple[int, int, int, int]
-    in_channels: int
-    per_block: tuple[int, int, int, int]
-    transition_params: tuple[int, int, int, int]  # stem first
-    total: int
-
-
-def count_params(cfg: BackboneConfig) -> ParamReport:
+def count_params(cfg: BackboneConfig) -> int:
     """Fused (inference-mode) parameter count of the backbone."""
     ch = cfg.stage_channels
-    per_block = tuple(block_params(ch[i]) for i in range(N_STAGES))
-    transitions = [9 * cfg.in_channels * ch[0] + ch[0]]
-    for i in range(1, N_STAGES):
-        transitions.append(9 * ch[i - 1] * ch[i] + ch[i])
-    total = sum(cfg.stage_blocks[i] * per_block[i] for i in range(N_STAGES)) + sum(transitions)
-    return ParamReport(
-        stage_blocks=cfg.stage_blocks,
-        stage_channels=ch,
-        in_channels=cfg.in_channels,
-        per_block=per_block,
-        transition_params=tuple(transitions),
-        total=total,
-    )
+    transitions = 9 * cfg.in_channels * ch[0] + ch[0]
+    transitions += sum(9 * ch[i - 1] * ch[i] + ch[i] for i in range(1, N_STAGES))
+    return sum(cfg.stage_blocks[i] * block_params(ch[i]) for i in range(N_STAGES)) + transitions

@@ -198,7 +198,7 @@ def cmd_flops(args) -> int:
         par = count_params(cfg)
         hw = f"{cfg.input_hw[0]}x{cfg.input_hw[1]}"
         rows.append(("-".join(map(str, ratios)), sum(ratios), mac.total / 1e9, mac.per_block[0] / 1e9,
-                     par.total / 1e6, hw))
+                     par / 1e6, hw))
     _emit(("ratio", "blocks", "gmacs", "slope_gmacs_per_block", "params_m", "input_hw"), rows, args.format, args.out)
     totals = {ratio: gmacs for ratio, _, gmacs, *_ in rows}
     if "6-6-3-1" in totals and "3-4-6-3" in totals:

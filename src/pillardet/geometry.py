@@ -114,14 +114,6 @@ def _polygon_area(pts) -> float:
     return 0.5 * total
 
 
-def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex CCW subject by a convex CCW clip polygon."""
-    poly = _clip_tracked([(tuple(p), None) for p in subject.tolist()], clip.tolist())
-    if not poly:
-        return np.zeros((0, 2))
-    return np.array([p for p, _ in poly])
-
-
 def _clip_tracked(poly, clip):
     """Clip a list of ((x, y), jacobian-or-None) vertices by each edge of a CCW
     list of (x, y) clip vertices.

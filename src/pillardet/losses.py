@@ -134,12 +134,18 @@ def render_gaussian_targets(
     return Targets(heatmap=heatmap, reg=reg, mask=mask, iou=iou, centers=tuple(centers))
 
 
-def focal_loss(pred: np.ndarray, target: np.ndarray, alpha: float = 2.0, beta: float = 4.0):
+# focal exponents: FOCAL_ALPHA on the prediction, FOCAL_BETA on the negative penalty
+FOCAL_ALPHA = 2.0
+FOCAL_BETA = 4.0
+
+
+def focal_loss(pred: np.ndarray, target: np.ndarray):
     """Penalty-reduced focal value averaged over positive cells, with gradient.
 
     Cells with target exactly 1 are positives; the rest are penalty-reduced
     negatives. Predictions are clamped away from {0, 1} before the logs.
     """
+    alpha, beta = FOCAL_ALPHA, FOCAL_BETA
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:

@@ -122,41 +122,29 @@ def augment_points(cloud: PointCloud, pillar: Pillar, cfg: GridConfig) -> np.nda
 
 @dataclass(frozen=True)
 class BEVCanvas:
-    """Dense pseudo-image (1, D, ny, nx) plus the pillar occupancy mask."""
+    """Dense pseudo-image (1, D, ny, nx)."""
 
     data: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         if self.data.ndim != 4 or self.data.shape[0] != 1:
             raise ValidationError(f"canvas must be (1, D, ny, nx), got {self.data.shape}")
-        if self.mask.shape != self.data.shape[2:]:
-            raise ValidationError("occupancy mask shape must match the canvas grid")
 
 
-def scatter(pillar_features, cfg: GridConfig, dim: int | None = None) -> BEVCanvas:
-    """Place one feature vector per pillar on a zeroed canvas.
+def scatter(pillar_features, cfg: GridConfig, dim: int) -> BEVCanvas:
+    """Place one (dim,) feature vector per pillar on a zeroed canvas.
 
     Cells not covered by a pillar stay exactly zero; duplicate cells are
-    rejected. ``dim``, when given, is the feature width: it sizes an empty
-    canvas, and the features must agree with it.
+    rejected.
     """
-    items = list(pillar_features)
-    if items:
-        dims = {int(np.asarray(f).shape[0]) for _, f in items}
-        if len(dims) != 1:
-            raise ValidationError(f"feature vectors disagree on width: {sorted(dims)}")
-        (width,) = dims
-        if dim not in (None, width):
-            raise ValidationError(f"feature width {width} disagrees with dim={dim}")
-        dim = width
-    elif dim is None:
-        raise ValidationError("empty scatter needs an explicit feature dim")
     data = np.zeros((1, dim, cfg.ny, cfg.nx), dtype=np.float32)
-    mask = np.zeros((cfg.ny, cfg.nx), dtype=bool)
-    for pillar, feat in items:
-        if mask[pillar.iy, pillar.ix]:
+    occupied = np.zeros((cfg.ny, cfg.nx), dtype=bool)
+    for pillar, feat in pillar_features:
+        feat = np.asarray(feat)
+        if feat.shape != (dim,):
+            raise ValidationError(f"feature of shape {feat.shape} does not have width dim={dim}")
+        if occupied[pillar.iy, pillar.ix]:
             raise ValidationError(f"duplicate pillar cell (ix={pillar.ix}, iy={pillar.iy})")
-        data[0, :, pillar.iy, pillar.ix] = np.asarray(feat, dtype=np.float32)
-        mask[pillar.iy, pillar.ix] = True
-    return BEVCanvas(data, mask)
+        data[0, :, pillar.iy, pillar.ix] = feat
+        occupied[pillar.iy, pillar.ix] = True
+    return BEVCanvas(data)

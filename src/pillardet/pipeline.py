@@ -24,6 +24,7 @@ from .head import (
     HeadOutput,
     decode,
     head_forward,
+    head_map_hw,
     nms,
     rectify_detections,
     split_channels,
@@ -94,6 +95,9 @@ def run_detect(
         head_out = network_forward(canvas.data, params, profile)
         t.backbone = time.perf_counter() - t0
     else:
+        want = (profile.n_classes, *head_map_hw(profile.grid, profile.out_stride))
+        if inject_head.heatmap.shape != want:
+            raise ValidationError(f"injected head heatmap must have shape {want}, got {inject_head.heatmap.shape}")
         head_out = inject_head
 
     t0 = time.perf_counter()

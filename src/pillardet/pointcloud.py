@@ -1,4 +1,4 @@
-"""Point-cloud data model, binary I/O, cropping, global augmentation, synthetic scenes.
+"""Point-cloud data model, binary I/O, cropping, synthetic scenes.
 
 The on-disk format is headerless little-endian float32 records of
 (x, y, z, reflectance, timestamp); a companion ``<file>.meta.json`` carries
@@ -133,85 +133,6 @@ def crop_to_range(cloud: PointCloud, rng: Range3D) -> PointCloud:
     """Keep exactly the points inside the half-open range; sets declared_range."""
     mask = rng.contains_mask(cloud.xyz)
     return PointCloud(cloud.data[mask], declared_range=rng)
-
-
-# Documented bounds for global augmentation draws.
-ROTATION_BOUND = math.pi / 4.0
-TRANSLATION_BOUND = 0.5
-SCALE_BOUNDS = (0.95, 1.05)
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Ranges for the seeded global transform; flips are Bernoulli draws.
-
-    Applied in the fixed order flip -> rotate(z) -> translate -> scale.
-    """
-
-    flip_x_prob: float = 0.0
-    flip_y_prob: float = 0.0
-    rotation_range: tuple[float, float] = (0.0, 0.0)
-    translation_range: tuple[float, float] = (0.0, 0.0)
-    scale_range: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        for p, name in ((self.flip_x_prob, "flip_x_prob"), (self.flip_y_prob, "flip_y_prob")):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {p}")
-        _check_range(self.rotation_range, -ROTATION_BOUND, ROTATION_BOUND, "rotation_range")
-        _check_range(self.translation_range, -TRANSLATION_BOUND, TRANSLATION_BOUND, "translation_range")
-        _check_range(self.scale_range, *SCALE_BOUNDS, "scale_range")
-
-    @classmethod
-    def identity(cls) -> "AugmentSpec":
-        return cls()
-
-
-def _check_range(r, lo, hi, name):
-    if len(r) != 2 or r[0] > r[1]:
-        raise ValidationError(f"{name} must be (lo, hi) with lo <= hi, got {r}")
-    if r[0] < lo or r[1] > hi:
-        raise ValidationError(f"{name} {r} outside documented bounds [{lo}, {hi}]")
-
-
-def augment_global(
-    cloud: PointCloud, boxes: list[Box3D], spec: AugmentSpec, seed: int
-) -> tuple[PointCloud, list[Box3D]]:
-    """Apply one seeded flip/rotate/translate/scale draw to points and boxes."""
-    rng = np.random.default_rng(seed)
-    flip_x = rng.random() < spec.flip_x_prob
-    flip_y = rng.random() < spec.flip_y_prob
-    theta = rng.uniform(*spec.rotation_range)
-    shift = np.array([rng.uniform(*spec.translation_range) for _ in range(3)])
-    scale = rng.uniform(*spec.scale_range)
-
-    data = cloud.data.copy()
-    if flip_x:
-        data[:, 1] = -data[:, 1]
-    if flip_y:
-        data[:, 0] = -data[:, 0]
-    c, s = math.cos(theta), math.sin(theta)
-    x, y = data[:, 0].copy(), data[:, 1].copy()
-    data[:, 0] = c * x - s * y
-    data[:, 1] = s * x + c * y
-    data[:, :3] += shift
-    data[:, :3] *= scale
-
-    out_boxes = []
-    for b in boxes:
-        cx, cy, cz, yaw = b.cx, b.cy, b.cz, b.yaw
-        if flip_x:
-            cy, yaw = -cy, -yaw
-        if flip_y:
-            cx, yaw = -cx, math.pi - yaw
-        cx, cy = c * cx - s * cy, s * cx + c * cy
-        yaw += theta
-        cx, cy, cz = cx + shift[0], cy + shift[1], cz + shift[2]
-        out_boxes.append(
-            Box3D(cx * scale, cy * scale, cz * scale, b.l * scale, b.w * scale, b.h * scale, yaw, b.class_id)
-        )
-    # geometry moved, previous declared range no longer holds
-    return PointCloud(data, declared_range=None), out_boxes
 
 
 @dataclass(frozen=True)

@@ -347,8 +347,8 @@ def test_criterion_7_decode_fixture():
 
 
 def test_criterion_8_parameter_count():
-    ours = count_params(flops_config((6, 6, 3, 1))).total
-    ref = count_params(flops_config((3, 4, 6, 3))).total
+    ours = count_params(flops_config((6, 6, 3, 1)))
+    ref = count_params(flops_config((3, 4, 6, 3)))
     ratio = ours / ref
     ok = ours < ref and abs(ratio - 0.5) / 0.5 < 0.05
     report(

@@ -197,6 +197,19 @@ class TestDetect:
                 abs(d.box.cx - b.cx) <= cell / 2 and abs(d.box.cy - b.cy) <= cell / 2 for d in dets
             )
 
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (3, 16, 16), (3, 40, 40)])
+    def test_injected_head_that_does_not_fit_the_profile_rejected(self, scene, train_ckpt, tmp_path, capsys,
+                                                                  shape):
+        fields = {name: np.full((width or shape[0], *shape[1:]), 0.5) for name, _, width in HEAD_GROUPS}
+        fixture = tmp_path / "head.npz"
+        np.savez(fixture, **fields)
+        out = tmp_path / "dets.csv"
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene),
+                     "--checkpoint", str(train_ckpt), "--inject-head", str(fixture),
+                     "--out", str(out)]) == 1
+        assert f"heatmap must have shape (3, 8, 8), got {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bitwise_deterministic_output(self, scene, train_ckpt, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -261,9 +261,9 @@ def stable_pair(rng, axis_aligned=False, h=1e-4):
 
 
 def _clip_signature(pred, gt):
-    from pillardet.geometry import bev_corners, clip_polygon
+    from pillardet.geometry import _clip_tracked, _corners, bev_corners
 
-    poly = clip_polygon(bev_corners(pred), bev_corners(gt))
+    poly = _clip_tracked([(p, None) for p in _corners(pred)], _corners(gt))
     corners = np.vstack([bev_corners(pred), bev_corners(gt)])
     return (len(poly), int(np.argmax(corners[:, 0])), int(np.argmin(corners[:, 0])),
             int(np.argmax(corners[:, 1])), int(np.argmin(corners[:, 1])))

@@ -137,10 +137,10 @@ class TestScatter:
     def test_empty_input(self):
         canvas = scatter([], GRID, dim=4)
         assert canvas.data.shape == (1, 4, 8, 8)
-        assert not canvas.data.any() and not canvas.mask.any()
+        assert not canvas.data.any()
 
     def test_single_pillar_placement(self):
-        canvas = scatter([(Pillar(2, 1, np.array([0])), np.array([7.0]))], GRID)
+        canvas = scatter([(Pillar(2, 1, np.array([0])), np.array([7.0]))], GRID, dim=1)
         nonzero = np.argwhere(canvas.data[0, 0])
         assert nonzero.tolist() == [[1, 2]]
         assert canvas.data[0, 0, 1, 2] == 7.0
@@ -151,7 +151,7 @@ class TestScatter:
             (Pillar(2, 1, np.array([1])), np.array([2.0])),
         ]
         with pytest.raises(ValidationError, match="duplicate"):
-            scatter(items, GRID)
+            scatter(items, GRID, dim=1)
 
     def test_mixed_dims_rejected(self):
         items = [
@@ -159,7 +159,7 @@ class TestScatter:
             (Pillar(1, 0, np.array([1])), np.array([1.0, 2.0])),
         ]
         with pytest.raises(ValidationError, match="width"):
-            scatter(items, GRID)
+            scatter(items, GRID, dim=1)
 
     def test_dim_disagreeing_with_the_features_rejected(self):
         items = [(Pillar(0, 0, np.array([0])), np.zeros(16))]
@@ -172,17 +172,20 @@ class TestScatter:
         cells = [(ix, iy) for ix in range(8) for iy in range(8)]
         rng.shuffle(cells)
         items = [(Pillar(ix, iy, np.array([0])), rng.normal(size=3)) for ix, iy in cells[:20]]
-        canvas = scatter(items, GRID)
+        canvas = scatter(items, GRID, dim=3)
         total = sum(float(np.sum(np.asarray(f, dtype=np.float32))) for _, f in items)
         assert np.isclose(canvas.data.sum(), total, rtol=1e-6)
         # untouched cells are exactly zero
-        assert not canvas.data[0][:, ~canvas.mask].any()
+        occupied = np.zeros((8, 8), dtype=bool)
+        for p, _ in items:
+            occupied[p.iy, p.ix] = True
+        assert not canvas.data[0][:, ~occupied].any()
 
     def test_scatter_gather_identity(self):
         rng = np.random.default_rng(4)
         pillars = [Pillar(i, 2 * i % 8, np.array([0])) for i in range(8)]
         feats = [rng.normal(size=5).astype(np.float32) for _ in pillars]
-        canvas = scatter(zip(pillars, feats), GRID)
+        canvas = scatter(zip(pillars, feats), GRID, dim=5)
         for p, f in zip(pillars, feats):
             assert np.array_equal(canvas.data[0, :, p.iy, p.ix], f)
 

@@ -6,11 +6,9 @@ import pytest
 from pillardet.errors import ValidationError
 from pillardet.geometry import Box3D, points_in_box
 from pillardet.pointcloud import (
-    AugmentSpec,
     PointCloud,
     Range3D,
     SceneSpec,
-    augment_global,
     crop_to_range,
     generate_scene,
     load_cloud,
@@ -117,83 +115,6 @@ class TestCrop:
             and RANGE.z_min <= row[2] < RANGE.z_max
         ]
         assert np.array_equal(out.data, np.array(expected).reshape(len(expected), 5))
-
-
-class TestAugment:
-    def boxes(self):
-        return [Box3D(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3, 0), Box3D(-3.0, 0.5, 0.0, 2.0, 1.0, 1.0, -1.2, 1)]
-
-    def test_identity_spec(self):
-        rng = np.random.default_rng(1)
-        cloud = random_cloud(rng, 100)
-        boxes = self.boxes()
-        out_cloud, out_boxes = augment_global(cloud, boxes, AugmentSpec.identity(), seed=5)
-        assert np.array_equal(out_cloud.data, cloud.data)
-        assert out_boxes == boxes
-
-    def test_double_flip_x_is_involution(self):
-        rng = np.random.default_rng(2)
-        cloud = random_cloud(rng, 100)
-        spec = AugmentSpec(flip_x_prob=1.0)
-        once_c, once_b = augment_global(cloud, self.boxes(), spec, seed=1)
-        twice_c, twice_b = augment_global(once_c, once_b, spec, seed=2)
-        assert np.allclose(twice_c.data, cloud.data, atol=1e-12)
-        for a, b in zip(twice_b, self.boxes()):
-            assert math.isclose(a.cy, b.cy) and math.isclose(a.yaw, b.yaw, abs_tol=1e-12)
-
-    def test_rotation_inverse_composition(self):
-        rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 200)
-        theta = 0.4
-        fwd = AugmentSpec(rotation_range=(theta, theta))
-        bwd = AugmentSpec(rotation_range=(-theta, -theta))
-        mid_c, mid_b = augment_global(cloud, self.boxes(), fwd, seed=0)
-        out_c, out_b = augment_global(mid_c, mid_b, bwd, seed=0)
-        assert np.max(np.abs(out_c.data - cloud.data)) < 1e-6
-        for a, b in zip(out_b, self.boxes()):
-            assert math.isclose(a.cx, b.cx, abs_tol=1e-6) and math.isclose(a.yaw, b.yaw, abs_tol=1e-6)
-
-    def test_counts_preserved(self):
-        rng = np.random.default_rng(4)
-        cloud = random_cloud(rng, 321)
-        spec = AugmentSpec(flip_x_prob=0.5, flip_y_prob=0.5, rotation_range=(-0.7, 0.7),
-                           translation_range=(-0.5, 0.5), scale_range=(0.95, 1.05))
-        out_cloud, out_boxes = augment_global(cloud, self.boxes(), spec, seed=9)
-        assert len(out_cloud) == len(cloud)
-        assert len(out_boxes) == 2
-
-    def test_membership_invariant(self):
-        # points inside a box stay inside under flip/rotate/translate/scale
-        rng = np.random.default_rng(5)
-        box = Box3D(2.0, -1.0, 0.5, 3.0, 1.5, 1.2, 0.7, 0)
-        local = rng.uniform(-0.5, 0.5, (200, 3)) * np.array([box.l, box.w, box.h]) * 0.999
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        pts = np.zeros((200, 5))
-        pts[:, 0] = box.cx + c * local[:, 0] - s * local[:, 1]
-        pts[:, 1] = box.cy + s * local[:, 0] + c * local[:, 1]
-        pts[:, 2] = box.cz + local[:, 2]
-        cloud = PointCloud(pts)
-        assert points_in_box(cloud.xyz, box).all()
-        spec = AugmentSpec(flip_x_prob=1.0, rotation_range=(-0.5, 0.5),
-                           translation_range=(-0.5, 0.5), scale_range=(0.95, 1.05))
-        out_cloud, (out_box,) = augment_global(cloud, [box], spec, seed=11)
-        assert points_in_box(out_cloud.xyz, out_box, tol=1e-6).all()
-
-    def test_determinism(self):
-        rng = np.random.default_rng(6)
-        cloud = random_cloud(rng, 64)
-        spec = AugmentSpec(flip_x_prob=0.5, rotation_range=(-0.7, 0.7))
-        a, _ = augment_global(cloud, [], spec, seed=42)
-        b, _ = augment_global(cloud, [], spec, seed=42)
-        assert np.array_equal(a.data, b.data)
-
-    def test_out_of_bounds_spec_rejected(self):
-        with pytest.raises(ValidationError, match="rotation_range"):
-            AugmentSpec(rotation_range=(-1.0, 1.0))
-        with pytest.raises(ValidationError, match="scale_range"):
-            AugmentSpec(scale_range=(0.5, 1.0))
-        with pytest.raises(ValidationError, match="translation_range"):
-            AugmentSpec(translation_range=(-1.0, 0.0))
 
 
 class TestSceneGen:
