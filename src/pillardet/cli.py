@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, pillarize, encode, fuse, flops, detect, bench,
-train-step. Exit codes: 0 success, 1 validation or file-system error, 2
-internal invariant violation. All randomness is confined to explicit --seed flags.
+train-step. Exit codes: 0 success, 1 validation, file-system or out-of-memory
+error, 2 internal invariant violation. All randomness is confined to explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -171,11 +171,9 @@ def cmd_encode(args) -> int:
 def cmd_fuse(args) -> int:
     if args.probes < 1:
         raise ValidationError(f"--probes must be >= 1, got {args.probes}")
-    params, arch, mode = ckpt.load_checkpoint(args.checkpoint_in)
-    if mode != "train":
-        raise ValidationError("fusion needs a train-mode checkpoint")
-    worst = fusion_discrepancy(params, arch, n_probes=args.probes, seed=args.seed)
+    params, arch, _ = ckpt.load_checkpoint(args.checkpoint_in)
     fused = ckpt.fuse_params(params)
+    worst = fusion_discrepancy(params, fused, args.probes, args.seed)
     ckpt.save_checkpoint(args.checkpoint_out, fused, arch)
     report = {"probes": args.probes, "max_relative_discrepancy": worst, "bound": FUSION_PROBE_BOUND}
     print(json.dumps(report, sort_keys=True))
@@ -377,6 +375,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)

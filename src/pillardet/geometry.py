@@ -78,8 +78,8 @@ def bev_corners(box: Box3D) -> np.ndarray:
     return np.array(_corners(box))
 
 
-def points_in_box(xyz: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarray:
-    """Boolean mask of points inside the box (closed faces, +/- tol meters)."""
+def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
+    """Boolean mask of points inside the box (closed faces)."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     dx = xyz[:, 0] - box.cx
@@ -87,9 +87,9 @@ def points_in_box(xyz: np.ndarray, box: Box3D, tol: float = 0.0) -> np.ndarray:
     local_x = c * dx + s * dy
     local_y = -s * dx + c * dy
     return (
-        (np.abs(local_x) <= box.l / 2.0 + tol)
-        & (np.abs(local_y) <= box.w / 2.0 + tol)
-        & (np.abs(xyz[:, 2] - box.cz) <= box.h / 2.0 + tol)
+        (np.abs(local_x) <= box.l / 2.0)
+        & (np.abs(local_y) <= box.w / 2.0)
+        & (np.abs(xyz[:, 2] - box.cz) <= box.h / 2.0)
     )
 
 

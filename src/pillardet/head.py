@@ -113,13 +113,7 @@ def head_map_hw(grid: GridConfig, out_stride: int) -> tuple[int, int]:
     return h, w
 
 
-def decode(
-    out: HeadOutput,
-    grid: GridConfig,
-    out_stride: int,
-    k: int = 100,
-    score_thresh: float = 0.1,
-) -> list[Detection]:
+def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thresh: float) -> list[Detection]:
     """Top-k heatmap peaks above threshold, decoded to world-frame boxes.
 
     Ties are broken deterministically by (row, col) order. Detections carry

@@ -13,8 +13,10 @@ since that is already its column matrix.
 
 A rep unit trains as Conv3x3-BN + Conv1x1-BN (+ Identity-BN when shapes
 allow), with the rectifier applied after the branch sum. Fusion folds each
-BN into its branch, aligns every branch to a 3x3 kernel, and sums; fused and
-train-time forwards agree up to float rounding.
+BN into its branch and sums the branches straight into one 3x3 kernel: the
+1x1 kernel zero-padded over the whole 3x3, the identity (a folded unit
+matrix) on the centre tap, in the structural re-parameterization of RepVGG
+(Ding et al. 2021). Fused and train-time forwards agree up to float rounding.
 """
 
 from __future__ import annotations
@@ -214,25 +216,9 @@ def bn_fold(conv: ConvParams, bn: BNParams) -> ConvParams:
     return ConvParams(kernel, bias, stride=conv.stride)
 
 
-def pad_1x1_to_3x3(p: ConvParams) -> ConvParams:
-    """Embed a 1x1 kernel at the center of a zero 3x3 kernel."""
-    if p.ksize != 1:
-        raise ValidationError(f"expected a 1x1 conv, got k={p.ksize}")
-    kernel = np.zeros((p.out_channels, p.in_channels, 3, 3), dtype=p.kernel.dtype)
-    kernel[:, :, 1, 1] = p.kernel[:, :, 0, 0]
-    return ConvParams(kernel, p.bias, stride=p.stride)
-
-
 def has_identity(c_in: int, c_out: int, stride: int) -> bool:
     """The one rule for where a rep unit carries an identity branch."""
     return c_in == c_out and stride == 1
-
-
-def identity_to_3x3(channels: int) -> ConvParams:
-    """Dirac kernel: conv with it reproduces the input exactly."""
-    kernel = np.zeros((channels, channels, 3, 3), dtype=FLOAT)
-    kernel[np.arange(channels), np.arange(channels), 1, 1] = 1.0
-    return ConvParams(kernel, np.zeros(channels), stride=1)
 
 
 @dataclass(frozen=True)
@@ -286,15 +272,19 @@ def rep_forward(x: np.ndarray, b: RepBlockParams) -> np.ndarray:
 
 
 def fuse_rep_block(b: RepBlockParams) -> ConvParams:
-    """Collapse the three branches into one 3x3 conv (exact algebra)."""
-    f3 = bn_fold(b.conv3, b.bn3)
-    f1 = pad_1x1_to_3x3(bn_fold(b.conv1, b.bn1))
-    kernel = f3.kernel.astype(np.float64) + f1.kernel.astype(np.float64)
-    bias = f3.bias.astype(np.float64) + f1.bias.astype(np.float64)
+    """Collapse the three branches into one 3x3 conv (exact algebra).
+
+    The folded 1x1 kernel is zero-padded and added over the whole 3x3, so its
+    +0.0 border turns an off-centre -0.0 of the 3x3 branch into +0.0; the
+    identity branch, a folded 1x1 unit matrix, then adds on the centre tap only.
+    """
+    f3, f1 = bn_fold(b.conv3, b.bn3), bn_fold(b.conv1, b.bn1)
+    kernel = f3.kernel + np.pad(f1.kernel.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    bias = f3.bias + f1.bias.astype(np.float64)
     if b.bn_id is not None:
-        fid = bn_fold(identity_to_3x3(b.out_channels), b.bn_id)
-        kernel += fid.kernel.astype(np.float64)
-        bias += fid.bias.astype(np.float64)
+        fid = bn_fold(ConvParams(np.eye(b.out_channels)[:, :, None, None], np.zeros(b.out_channels)), b.bn_id)
+        kernel[:, :, 1, 1] += fid.kernel[:, :, 0, 0]
+        bias += fid.bias
     return ConvParams(kernel, bias, stride=b.stride)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import backbone_forward, neck_fuse
-from .checkpoint import ArchConfig, PipelineParams, fuse_params
+from .checkpoint import PipelineParams
 from .encoder import encode_pillar
 from .errors import ValidationError
 from .head import (
@@ -131,20 +131,19 @@ def head_output_from_targets(targets: Targets) -> HeadOutput:
 FUSION_PROBE_HW = 16
 
 
-def fusion_discrepancy(params: PipelineParams, arch: ArchConfig, n_probes: int = 8, seed: int = 0) -> float:
-    """Max relative disagreement between train-mode and fused network forwards.
+def fusion_discrepancy(train: PipelineParams, fused: PipelineParams, n_probes: int, seed: int) -> float:
+    """Max relative disagreement between the train-mode and the fused network forwards.
 
     Probes random canvases through both parameter sets and compares every
     head channel; the scale is the largest absolute output value.
     """
-    if params.mode != "train":
+    if train.mode != "train":
         raise ValidationError("fusion probe needs a train-mode checkpoint")
-    fused = fuse_params(params)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
-        x = rng.normal(0.0, 1.0, (1, arch.encoder_dim, FUSION_PROBE_HW, FUSION_PROBE_HW)).astype(np.float32)
-        a, b = (_dense_forward(x, p).channels() for p in (params, fused))
+        x = rng.normal(0.0, 1.0, (1, train.encoder.dim, FUSION_PROBE_HW, FUSION_PROBE_HW)).astype(np.float32)
+        a, b = (_dense_forward(x, p).channels() for p in (train, fused))
         scale = max(float(np.max(np.abs(a))), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     return worst

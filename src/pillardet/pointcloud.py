@@ -54,10 +54,10 @@ class Range3D:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Range3D":
-        try:
-            return cls(**{f.name: float(check_json(f"range {f.name}", d[f.name], float)) for f in fields(cls)})
-        except KeyError as e:
-            raise ValidationError(f"range dict missing key {e}") from e
+        names = [f.name for f in fields(cls)]
+        if sorted(check_json("range", d, dict)) != sorted(names):
+            raise ValidationError(f"range keys must be exactly {names}, got {sorted(d)}")
+        return cls(**{name: float(check_json(f"range {name}", d[name], float)) for name in names})
 
 
 class PointCloud:

@@ -20,6 +20,7 @@ from pathlib import Path
 from .backbone import DEFAULT_CHANNELS, BackboneConfig
 from .checkpoint import ArchConfig
 from .errors import ValidationError, check_json
+from .head import head_map_hw
 from .losses import LossWeights
 from .pillars import GridConfig
 from .pointcloud import Range3D
@@ -46,6 +47,14 @@ class Profile:
         self.arch()  # the network shape is checked when the profile is built
         if self.canvas_reduction not in (1, 2):
             raise ValidationError("canvas_reduction must be 1 or 2")
+        # the canvas pool halves the grid exactly, and the neck upsamples the 16x map 2x onto the 8x map
+        grid, head = (self.grid.ny, self.grid.nx), head_map_hw(self.grid, self.out_stride)
+        if any(n % self.canvas_reduction for n in grid) or any(n % 2 for n in head):
+            raise ValidationError(
+                f"profile {self.name!r}: the network cannot run grid {grid[0]}x{grid[1]} (head map"
+                f" {head[0]}x{head[1]}): grid dims must be multiples of canvas_reduction"
+                f" {self.canvas_reduction}, head map dims even"
+            )
         if self.max_detections < 1:
             raise ValidationError(f"max_detections must be >= 1, got {self.max_detections}")
         if not 0.0 <= self.score_thresh < 1.0:  # every heatmap value lies below 1
@@ -169,12 +178,13 @@ def profile_from_dict(d: dict) -> Profile:
         raise ValidationError(f"profile is missing keys: {sorted(missing)}")
     for key, kinds in _PROFILE_KEYS.items():
         check_json(f"profile key {key!r}", d[key], *(kinds if isinstance(kinds, tuple) else (kinds,)))
+    for key, n in (("pillar_size", 2), ("loss_weights", 3)):
+        if len(d[key]) != n:
+            raise ValidationError(f"profile key {key!r} must hold {n} numbers, got {d[key]!r}")
     try:
         nms_iou = d["nms_iou"]
         alpha = d["rectify_alpha"]
         lw = [float(v) for v in d["loss_weights"]]
-        if len(lw) != 3:
-            raise ValidationError("loss_weights must have 3 entries")
         return Profile(
             name=d["name"],
             grid=GridConfig(Range3D.from_dict(d["range"]), float(d["pillar_size"][0]), float(d["pillar_size"][1])),

@@ -141,6 +141,15 @@ class TestFuse:
         bad.write_text("{oops")
         assert main(["fuse", str(bad), str(tmp_path / "out.json")]) == 1
 
+    def test_fuses_each_unit_once(self, train_ckpt, tmp_path, monkeypatch):
+        from pillardet import backbone
+
+        fused = []
+        fuse = backbone.fuse_rep_block
+        monkeypatch.setattr(backbone, "fuse_rep_block", lambda unit: fused.append(id(unit)) or fuse(unit))
+        assert main(["fuse", str(train_ckpt), str(tmp_path / "fused.json")]) == 0
+        assert fused and len(fused) == len(set(fused))
+
     def test_fused_input_rejected(self, train_ckpt, tmp_path):
         fused = tmp_path / "fused.json"
         main(["fuse", str(train_ckpt), str(fused)])
@@ -367,6 +376,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("max_detections", -45), ("score_thresh", float("nan")), ("loss_weights", [float("nan"), 1.0, 0.25]),
+        ("pillar_size", [0.2, 0.2, 7.0]), ("pillar_size", [0.2]), ("pillar_size", []),
+        ("range", dict(DESK.grid.range.as_dict(), w_min=0.0)),
     ])
     @pytest.mark.parametrize("command", ["detect", "train-step"])
     def test_profile_value_that_gives_wrong_results_exit_one(self, scene, train_ckpt, tmp_path, capsys,
@@ -381,6 +392,35 @@ class TestInputErrors:
         assert main([command, "--profile", str(profile), "--cloud", str(scene), *io]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and key in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("half,grid,head", [(6.8, "68x68", "9x9"), (6.5, "65x65", "9x9")])
+    @pytest.mark.parametrize("command", ["generate", "init"])
+    def test_grid_the_network_cannot_run_exit_one_at_load(self, tmp_path, capsys, half, grid, head, command):
+        # a 68 grid pools to 34 and halves to a 9x9 head (8x) map, onto which the 5x5 16x map
+        # cannot be upsampled 2x; a 65 grid cannot be pooled 2x at all
+        profile = tmp_path / "profile.json"
+        rng = dict(x_min=-half, x_max=half, y_min=-half, y_max=half, z_min=-2.0, z_max=2.0)
+        profile.write_text(json.dumps(dict(DESK_PROFILE_JSON, range=rng)))
+        out = tmp_path / "out.bin"
+        assert main([command, "--profile", str(profile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'desk-file'" in err[0] and f"grid {grid}" in err[0] and f"head map {head}" in err[0]
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line_exit_one(self, scene, train_ckpt, tmp_path, capsys, monkeypatch):
+        import pillardet.pipeline as pipeline
+
+        def refuse(*args, **kwargs):  # what numpy raises for a canvas that cannot be allocated
+            raise MemoryError("Unable to allocate 458. GiB for an array with shape (1, 8, 124000, 124000)")
+
+        monkeypatch.setattr(pipeline, "scatter", refuse)
+        capsys.readouterr()
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate 458. GiB")
         assert not (tmp_path / "d.csv").exists()
 
     def test_truncated_stage_blocks_manifest_exit_one(self, scene, train_ckpt, tmp_path, capsys):

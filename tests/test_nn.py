@@ -14,9 +14,7 @@ from pillardet.nn import (
     conv2d,
     fuse_rep_block,
     fused_forward,
-    identity_to_3x3,
     maxpool2,
-    pad_1x1_to_3x3,
     passthrough_rep_block,
     random_rep_block,
     rep_forward,
@@ -191,52 +189,12 @@ class TestBNFold:
             assert np.max(np.abs(direct - conv2d(x, bn_fold(conv, bn)))) < 1e-5
 
 
-class TestKernelAlignment:
-    def test_pad_scalar_kernel(self):
-        p = ConvParams(np.array([[[[3.5]]]]), np.array([0.5]))
-        padded = pad_1x1_to_3x3(p)
-        want = np.zeros((1, 1, 3, 3), dtype=np.float32)
-        want[0, 0, 1, 1] = 3.5
-        np.testing.assert_array_equal(padded.kernel, want)
-        assert padded.bias[0] == np.float32(0.5)
-
-    def test_pad_zero_kernel(self):
-        padded = pad_1x1_to_3x3(ConvParams(np.zeros((2, 3, 1, 1)), np.zeros(2)))
-        assert not padded.kernel.any()
-
-    def test_pad_preserves_function(self):
-        rng = np.random.default_rng(6)
-        p = ConvParams(rng.normal(size=(3, 2, 1, 1)), rng.normal(size=3))
-        x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
-        assert np.max(np.abs(conv2d(x, p) - conv2d(x, pad_1x1_to_3x3(p)))) < 1e-6
-
-    def test_pad_rejects_3x3(self):
-        with pytest.raises(ValidationError):
-            pad_1x1_to_3x3(ConvParams(np.zeros((1, 1, 3, 3)), np.zeros(1)))
-
-    def test_dirac_single_channel(self):
-        p = identity_to_3x3(1)
-        want = np.zeros((1, 1, 3, 3), dtype=np.float32)
-        want[0, 0, 1, 1] = 1.0
-        np.testing.assert_array_equal(p.kernel, want)
-
-    def test_dirac_is_identity(self):
-        x = np.random.default_rng(7).normal(size=(2, 4, 6, 6)).astype(np.float32)
-        np.testing.assert_array_equal(conv2d(x, identity_to_3x3(4)), x)
-
-    def test_dirac_folded_equals_standalone_bn(self):
-        rng = np.random.default_rng(8)
-        bn = BNParams(gamma=rng.uniform(0.5, 1.5, 3), beta=rng.normal(size=3),
-                      mean=rng.normal(size=3), var=rng.uniform(0.5, 1.5, 3))
-        x = rng.normal(size=(1, 3, 5, 5)).astype(np.float32)
-        folded = bn_fold(identity_to_3x3(3), bn)
-        assert np.max(np.abs(conv2d(x, folded) - batchnorm(x, bn))) < 1e-6
-
-
 class TestFuseRepBlock:
     def test_zero_branches_neutral_identity_is_dirac(self):
         fused = fuse_rep_block(passthrough_rep_block(3, 3))
-        np.testing.assert_array_equal(fused.kernel, identity_to_3x3(3).kernel)
+        dirac = np.zeros((3, 3, 3, 3), dtype=np.float32)
+        dirac[np.arange(3), np.arange(3), 1, 1] = 1.0
+        np.testing.assert_array_equal(fused.kernel, dirac)
         np.testing.assert_array_equal(fused.bias, np.zeros(3, dtype=np.float32))
 
     def test_only_3x3_branch_active(self):
@@ -262,6 +220,61 @@ class TestFuseRepBlock:
             train = rep_forward(x, block)
             fused = fused_forward(x, fuse_rep_block(block))
             assert rel_discrepancy(train, fused) < 1e-5
+
+    def test_bytes_equal_three_helper_fold(self):
+        """The fold is byte for byte the older one that padded the 1x1 branch to a
+        zero 3x3 kernel and folded a full Dirac 3x3 conv for the identity branch.
+        Zero and negative gammas and +/-0 kernel entries put -0.0 in the folded
+        branches, so adding the 1x1 branch on the centre tap alone fails here."""
+
+        def three_helper_fold(b):
+            k1 = bn_fold(b.conv1, b.bn1)
+            padded = np.zeros((b.out_channels, b.in_channels, 3, 3), dtype=np.float32)
+            padded[:, :, 1, 1] = k1.kernel[:, :, 0, 0]
+            f3, f1 = bn_fold(b.conv3, b.bn3), ConvParams(padded, k1.bias, stride=k1.stride)
+            kernel = f3.kernel.astype(np.float64) + f1.kernel.astype(np.float64)
+            bias = f3.bias.astype(np.float64) + f1.bias.astype(np.float64)
+            if b.bn_id is not None:
+                dirac = np.zeros((b.out_channels, b.out_channels, 3, 3), dtype=np.float32)
+                dirac[np.arange(b.out_channels), np.arange(b.out_channels), 1, 1] = 1.0
+                fid = bn_fold(ConvParams(dirac, np.zeros(b.out_channels)), b.bn_id)
+                kernel += fid.kernel.astype(np.float64)
+                bias += fid.bias.astype(np.float64)
+            return ConvParams(kernel, bias, stride=b.stride)
+
+        rng = np.random.default_rng(15)
+
+        def signed_zeros(a):
+            pick = rng.random(a.shape)
+            return np.where(pick < 0.15, 0.0, np.where(pick < 0.3, -0.0, a))
+
+        def bn(c):
+            gamma = rng.choice([0.0, -0.0, -1.0, 1.0], size=c) * rng.uniform(0.5, 1.5, c)
+            return BNParams(gamma, rng.normal(0.0, 0.2, c), rng.normal(0.0, 0.2, c), rng.uniform(0.5, 1.5, c))
+
+        negative_zeros = 0
+        for _ in range(400):
+            ci, co, stride = rng.integers(1, 7), rng.integers(1, 7), rng.choice([1, 2])
+            if rng.random() < 0.5:
+                co = ci
+            with_identity = bool(nn.has_identity(ci, co, stride) and rng.random() < 0.8)
+            conv3, conv1 = (
+                ConvParams(signed_zeros(rng.normal(size=(co, ci, k, k))), signed_zeros(rng.normal(size=co)), stride)
+                for k in (3, 1)
+            )
+            block = RepBlockParams(
+                conv3=conv3,
+                bn3=bn(co),
+                conv1=conv1,
+                bn1=bn(co),
+                bn_id=bn(co) if with_identity else None,
+            )
+            got, want = fuse_rep_block(block), three_helper_fold(block)
+            assert got.stride == want.stride
+            assert got.kernel.tobytes() == want.kernel.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+            negative_zeros += bool(np.signbit(got.kernel[got.kernel == 0]).any())
+        assert negative_zeros > 50  # the draws do reach the signed-zero cases
 
     def test_identity_branch_shape_rules(self):
         rng = np.random.default_rng(11)

@@ -70,6 +70,22 @@ class TestProfiles:
         assert NUSCENES.score_thresh == 0.2
         assert NUSCENES.rectify_alpha == 0.5
 
+    @pytest.mark.parametrize("name,grid,head", [
+        ("waymo", 752, 94),
+        ("nuscenes", 720, 90),
+        ("desk", 64, 8),
+        ("perfbench/wide_dense_profile.json", 192, 24),
+    ])
+    def test_builtin_and_repo_profiles_load_with_runnable_grids(self, name, grid, head):
+        from pathlib import Path
+
+        from pillardet.head import head_map_hw
+
+        repo_file = Path(__file__).resolve().parents[1] / name
+        prof = load_profile(str(repo_file) if name.endswith(".json") else name)
+        assert (prof.grid.ny, prof.grid.nx) == (grid, grid)
+        assert head_map_hw(prof.grid, prof.out_stride) == (head, head)
+
     def test_builtin_lookup_and_unknown(self):
         assert load_profile("desk") is DESK
         from pillardet.errors import ValidationError
@@ -278,7 +294,7 @@ class TestFusionProbe:
     def test_train_fused_agreement(self):
         arch = DESK.arch()
         params = new_params(arch, mode="random", seed=3)
-        assert fusion_discrepancy(params, arch, n_probes=4, seed=0) < 1e-4
+        assert fusion_discrepancy(params, fuse_params(params), 4, 0) < 1e-4
 
     def test_fused_params_rejected(self):
         arch = DESK.arch()
@@ -286,4 +302,4 @@ class TestFusionProbe:
         from pillardet.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            fusion_discrepancy(fused, arch)
+            fusion_discrepancy(fused, fused, 1, 0)

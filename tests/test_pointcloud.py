@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -84,6 +85,16 @@ class TestIO:
         p = tmp_path / "ranged.bin"
         save_cloud(cloud, p)
         assert load_cloud(p).declared_range == RANGE
+
+    def test_declared_range_with_an_extra_key_rejected(self, tmp_path):
+        p = tmp_path / "ranged.bin"
+        save_cloud(PointCloud(np.zeros((1, 5)), declared_range=RANGE), p)
+        meta = json.loads(meta_path(p).read_text())
+        assert sorted(meta["declared_range"]) == ["x_max", "x_min", "y_max", "y_min", "z_max", "z_min"]
+        meta["declared_range"]["w_min"] = 0.0
+        meta_path(p).write_text(json.dumps(meta))
+        with pytest.raises(ValidationError, match="w_min"):
+            load_cloud(p)
 
 
 class TestCrop:
