@@ -9,6 +9,7 @@ single-conv equivalents.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,15 +26,18 @@ from .backbone import (
     neck_convs,
 )
 from .encoder import EncoderParams
-from .errors import ValidationError, check_json
+from .errors import ValidationError, check_json, read_json
 from .head import HEAD_GROUPS, build_head, split_channels
 from .nn import BN_EPS, BNParams, ConvParams, RepBlockParams, has_identity
 from .pillars import AUGMENTED_DIM
 
 FORMAT = "pillardet-checkpoint"
 VERSION = 1
+_DTYPE = "<f4"  # every tensor, as save_tensors writes it
 
-# the JSON type of each arch key a manifest records
+# the JSON type of each key of a manifest, of a tensor table entry and of the arch it records
+_HEADER = {"format": str, "version": int, "blob": str, "tensors": list, "meta": dict}
+_ENTRY = {"name": str, "shape": list[int], "offset": int, "dtype": str}
 _ARCH_KEYS = {"encoder_dim": int, "stage_blocks": list[int], "stage_channels": list[int], "neck_channels": int,
               "n_classes": int}
 # arch keys that older manifests wrote, each only ever with the value every checkpoint now assumes
@@ -59,15 +63,15 @@ class ArchConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ArchConfig":
+    def from_dict(cls, d, where: str) -> "ArchConfig":
+        values = _fields(where, d, _ARCH_KEYS)
+        for key, value in _FIXED_ARCH_KEYS.items():
+            if d.get(key, value) != value:
+                raise ValidationError(f"{where} {key} is {d[key]!r}, but only {value!r} is supported")
         try:
-            for key, value in _FIXED_ARCH_KEYS.items():
-                if d.get(key, value) != value:
-                    raise ValidationError(f"{key} is {d[key]!r}, but only {value!r} is supported")
-            values = {key: check_json(key, d[key], kind) for key, kind in _ARCH_KEYS.items()}
             return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()})
-        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as e:
-            raise ValidationError(f"bad architecture record in manifest: {e}") from e
+        except ValidationError as e:
+            raise ValidationError(f"{where}: {e}") from e
 
 
 @dataclass
@@ -225,9 +229,9 @@ def save_tensors(manifest_path, tensors: dict[str, np.ndarray], meta: dict) -> N
     offset = 0
     chunks = []
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype="<f4"))
+        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=_DTYPE))
         chunks.append(arr.tobytes())
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": "<f4"})
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": _DTYPE})
         offset += len(chunks[-1])
     bp.write_bytes(b"".join(chunks))
     manifest = {
@@ -240,31 +244,43 @@ def save_tensors(manifest_path, tensors: dict[str, np.ndarray], meta: dict) -> N
     manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
+def _fields(where: str, record, kinds: dict) -> dict:
+    """The ``kinds`` keys of the JSON object ``record``, each type-checked."""
+    record = check_json(where, record, dict)
+    return {key: check_json(f"{where} {key}", record.get(key), kind) for key, kind in kinds.items()}
+
+
 def load_tensors(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and meta of a manifest in the layout ``save_tensors`` writes: float32
+    tensors packed back to back from offset 0, with the blob ending where the table ends."""
     manifest_path = Path(manifest_path)
+    header = _fields(f"{manifest_path}: manifest", read_json(manifest_path, "checkpoint manifest"), _HEADER)
+    if (header["format"], header["version"]) != (FORMAT, VERSION):
+        raise ValidationError(f"{manifest_path}: manifest format and version must be {FORMAT!r} and {VERSION}")
+    layout, end = {}, 0  # each tensor's first element and shape, by name
+    for i, record in enumerate(header["tensors"]):
+        where = f"{manifest_path}: tensor {i}"
+        entry = _fields(where, record, _ENTRY)
+        name, shape = entry["name"], entry["shape"]
+        if entry["dtype"] != _DTYPE:
+            raise ValidationError(f"{where} dtype is {entry['dtype']!r}, but only {_DTYPE!r} is supported")
+        if min(shape, default=0) < 0:
+            raise ValidationError(f"{where} shape {shape} has a negative dimension")
+        if name in layout:
+            raise ValidationError(f"{where} name {name!r} repeats")
+        if entry["offset"] != end:
+            raise ValidationError(f"{where} offset is {entry['offset']}, but the packed layout puts it at {end}")
+        layout[name] = (end // 4, shape)
+        end += 4 * math.prod(shape)
+    blob = manifest_path.parent / header["blob"]
     try:
-        manifest = json.loads(manifest_path.read_text())
+        raw = blob.read_bytes()
     except OSError as e:
-        raise ValidationError(f"cannot read checkpoint manifest {manifest_path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{manifest_path}: malformed manifest: {e}") from e
-    if manifest.get("format") != FORMAT or int(manifest.get("version", -1)) != VERSION:
-        raise ValidationError(f"{manifest_path}: not a {FORMAT} v{VERSION} manifest")
-    try:
-        raw = (manifest_path.parent / manifest["blob"]).read_bytes()
-    except (OSError, KeyError) as e:
         raise ValidationError(f"cannot read checkpoint blob for {manifest_path}: {e}") from e
-    tensors: dict[str, np.ndarray] = {}
-    try:
-        for e in manifest["tensors"]:
-            shape = tuple(int(s) for s in e["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = int(e["offset"])
-            arr = np.frombuffer(raw, dtype=e["dtype"], count=count, offset=start).reshape(shape)
-            tensors[str(e["name"])] = arr
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"{manifest_path}: malformed tensor table: {e}") from e
-    return tensors, dict(manifest.get("meta", {}))
+    if len(raw) != end:
+        raise ValidationError(f"{manifest_path}: blob {blob.name} holds {len(raw)} bytes, but the table ends at {end}")
+    data = np.frombuffer(raw, _DTYPE)
+    return {name: data[i : i + math.prod(shape)].reshape(shape) for name, (i, shape) in layout.items()}, header["meta"]
 
 
 def save_checkpoint(path, params: PipelineParams, arch: ArchConfig) -> None:
@@ -274,9 +290,6 @@ def save_checkpoint(path, params: PipelineParams, arch: ArchConfig) -> None:
 
 def load_checkpoint(path) -> tuple[PipelineParams, ArchConfig, str]:
     tensors, meta = load_tensors(path)
-    try:
-        mode = str(meta["mode"])
-        arch = ArchConfig.from_dict(meta["arch"])
-    except KeyError as e:
-        raise ValidationError(f"{path}: manifest meta is missing {e}") from e
+    mode = check_json(f"{path}: meta mode", meta.get("mode"), str)
+    arch = ArchConfig.from_dict(meta.get("arch"), f"{path}: meta arch")
     return params_from_tensors(tensors, arch, mode), arch, mode

@@ -376,7 +376,10 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryError as e:
+    except (MemoryError, ValueError) as e:
+        # numpy refuses a size past its index range with "array is too big", before it allocates
+        if isinstance(e, ValueError) and not str(e).startswith("array is too big"):
+            raise
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     except InvariantViolation as e:

@@ -68,7 +68,10 @@ class HeadOutput:
         if len(hm_shape) != 3:
             raise ValidationError(f"heatmap must be (classes, h, w), got {hm_shape}")
         for name, _, width in HEAD_GROUPS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "biuf":  # a float cast would drop an imaginary part, or fail on text
+                raise ValidationError(f"head {name} must hold real numbers, got dtype {arr.dtype}")
+            arr = arr.astype(np.float64, copy=False)
             want = (width or hm_shape[0], *hm_shape[1:])
             if arr.shape != want:
                 raise ValidationError(f"head {name} must have shape {want}, got {arr.shape}")

@@ -1,21 +1,21 @@
 """Point-cloud data model, binary I/O, cropping, synthetic scenes.
 
 The on-disk format is headerless little-endian float32 records of
-(x, y, z, reflectance, timestamp); a companion ``<file>.meta.json`` carries
-the record count and the declared spatial range. All cropping and gridding
-downstream uses half-open intervals [min, max) per axis.
+(x, y, z, reflectance, timestamp); a companion ``<file>.meta.json`` holds the
+JSON object ``{"record_count": n}``, which a load checks against the file. All
+cropping and gridding downstream uses half-open intervals [min, max) per axis.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_json
+from .errors import ValidationError, check_json, read_json
 from .geometry import Box3D, points_in_box
 
 RECORD_FIELDS = 5
@@ -49,9 +49,6 @@ class Range3D:
             & (xyz[:, 2] >= self.z_min) & (xyz[:, 2] < self.z_max)
         )
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "Range3D":
         names = [f.name for f in fields(cls)]
@@ -63,7 +60,7 @@ class Range3D:
 class PointCloud:
     """Ordered point set backed by an immutable (N, 5) float64 array."""
 
-    def __init__(self, data: np.ndarray, declared_range: Range3D | None = None):
+    def __init__(self, data: np.ndarray):
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if data.size == 0:
             data = data.reshape(0, RECORD_FIELDS)
@@ -74,7 +71,6 @@ class PointCloud:
             raise ValidationError(f"non-finite values in point record {int(bad[0])}")
         data.setflags(write=False)
         self._data = data
-        self.declared_range = declared_range
 
     @property
     def data(self) -> np.ndarray:
@@ -92,11 +88,7 @@ def save_cloud(cloud: PointCloud, path) -> None:
     """Write raw float32 records plus the ``.meta.json`` companion."""
     path = Path(path)
     path.write_bytes(cloud.data.astype(_DTYPE).tobytes())
-    meta = {
-        "record_count": len(cloud),
-        "declared_range": cloud.declared_range.as_dict() if cloud.declared_range else None,
-    }
-    meta_path(path).write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+    meta_path(path).write_text(json.dumps({"record_count": len(cloud)}, indent=1) + "\n")
 
 
 def meta_path(path) -> Path:
@@ -114,25 +106,17 @@ def load_cloud(path) -> PointCloud:
             f"{path}: byte length {len(raw)} is not a multiple of the {RECORD_BYTES}-byte record size"
         )
     data = np.frombuffer(raw, dtype=_DTYPE).reshape(-1, RECORD_FIELDS).astype(np.float64)
-    declared = None
     mp = meta_path(path)
-    if mp.exists():
-        try:
-            meta = json.loads(mp.read_text())
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{mp}: malformed metadata: {e}") from e
-        count = meta.get("record_count")
-        if count is not None and check_json(f"{mp}: record_count", count, int) != data.shape[0]:
+    if mp.exists():  # other keys, such as the declared_range older files carry, are not read
+        count = check_json(f"{mp}: record_count", read_json(mp, "cloud metadata").get("record_count"), int)
+        if count != data.shape[0]:
             raise ValidationError(f"{path}: metadata says {count} records, file holds {data.shape[0]}")
-        if meta.get("declared_range"):
-            declared = Range3D.from_dict(meta["declared_range"])
-    return PointCloud(data, declared)
+    return PointCloud(data)
 
 
 def crop_to_range(cloud: PointCloud, rng: Range3D) -> PointCloud:
-    """Keep exactly the points inside the half-open range; sets declared_range."""
-    mask = rng.contains_mask(cloud.xyz)
-    return PointCloud(cloud.data[mask], declared_range=rng)
+    """Keep exactly the points inside the half-open range."""
+    return PointCloud(cloud.data[rng.contains_mask(cloud.xyz)])
 
 
 @dataclass(frozen=True)
@@ -203,7 +187,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> tuple[PointCloud, list[Box3D]]
     data = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, RECORD_FIELDS))
     # quantize to the storage precision so save/load round-trips bitwise
     data = data.astype(_DTYPE).astype(np.float64)
-    cloud = PointCloud(data, declared_range=r)
+    cloud = PointCloud(data)
     for i, box in enumerate(boxes):
         n = spec.points_per_object
         if not points_in_box(cloud.xyz[i * n : (i + 1) * n], box).all():

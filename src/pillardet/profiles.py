@@ -13,13 +13,12 @@ and totals hold. It is independent of the runtime canvas reduction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import DEFAULT_CHANNELS, BackboneConfig
 from .checkpoint import ArchConfig
-from .errors import ValidationError, check_json
+from .errors import ValidationError, check_json, read_json
 from .head import head_map_hw
 from .losses import LossWeights
 from .pillars import GridConfig
@@ -181,28 +180,23 @@ def profile_from_dict(d: dict) -> Profile:
     for key, n in (("pillar_size", 2), ("loss_weights", 3)):
         if len(d[key]) != n:
             raise ValidationError(f"profile key {key!r} must hold {n} numbers, got {d[key]!r}")
-    try:
-        nms_iou = d["nms_iou"]
-        alpha = d["rectify_alpha"]
-        lw = [float(v) for v in d["loss_weights"]]
-        return Profile(
-            name=d["name"],
-            grid=GridConfig(Range3D.from_dict(d["range"]), float(d["pillar_size"][0]), float(d["pillar_size"][1])),
-            n_classes=d["n_classes"],
-            encoder_dim=d["encoder_dim"],
-            stage_blocks=tuple(d["stage_blocks"]),
-            stage_channels=tuple(d["stage_channels"]),
-            neck_channels=d["neck_channels"],
-            canvas_reduction=d["canvas_reduction"],
-            score_thresh=float(d["score_thresh"]),
-            max_detections=d["max_detections"],
-            nms_iou=float(nms_iou) if isinstance(nms_iou, (int, float)) else tuple(float(v) for v in nms_iou),
-            nms_class_agnostic=d["nms_class_agnostic"],
-            rectify_alpha=float(alpha) if isinstance(alpha, (int, float)) else tuple(float(v) for v in alpha),
-            loss_weights=LossWeights(*lw),
-        )
-    except (TypeError, ValueError, IndexError) as e:
-        raise ValidationError(f"bad profile value: {e}") from e
+    nms_iou, alpha = d["nms_iou"], d["rectify_alpha"]
+    return Profile(
+        name=d["name"],
+        grid=GridConfig(Range3D.from_dict(d["range"]), float(d["pillar_size"][0]), float(d["pillar_size"][1])),
+        n_classes=d["n_classes"],
+        encoder_dim=d["encoder_dim"],
+        stage_blocks=tuple(d["stage_blocks"]),
+        stage_channels=tuple(d["stage_channels"]),
+        neck_channels=d["neck_channels"],
+        canvas_reduction=d["canvas_reduction"],
+        score_thresh=float(d["score_thresh"]),
+        max_detections=d["max_detections"],
+        nms_iou=float(nms_iou) if isinstance(nms_iou, (int, float)) else tuple(float(v) for v in nms_iou),
+        nms_class_agnostic=d["nms_class_agnostic"],
+        rectify_alpha=float(alpha) if isinstance(alpha, (int, float)) else tuple(float(v) for v in alpha),
+        loss_weights=LossWeights(*(float(v) for v in d["loss_weights"])),
+    )
 
 
 def load_profile(name_or_path: str) -> Profile:
@@ -214,7 +208,8 @@ def load_profile(name_or_path: str) -> Profile:
         raise ValidationError(
             f"unknown profile {name_or_path!r}; built-ins: {sorted(BUILTIN)} or a JSON file path"
         )
+    d = read_json(path, "profile")
     try:
-        return profile_from_dict(json.loads(path.read_text()))
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: malformed profile JSON: {e}") from e
+        return profile_from_dict(d)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e

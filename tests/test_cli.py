@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, save_head_output
 from pillardet.losses import render_gaussian_targets
 from pillardet.pillars import assign_pillars
 from pillardet.pipeline import head_output_from_targets
-from pillardet.pointcloud import PointCloud, crop_to_range, load_cloud, save_cloud
+from pillardet.pointcloud import PointCloud, crop_to_range, load_cloud, meta_path, save_cloud
 from pillardet.profiles import DESK
 from test_pipeline import DESK_PROFILE_JSON
 
@@ -249,6 +250,7 @@ class TestExtremeHeadOutput:
         targets = render_gaussian_targets(boxes, DESK.grid, DESK.out_stride, DESK.n_classes)
         head = head_output_from_targets(targets)
         fields = {name: getattr(head, name).copy() for name, _, _ in HEAD_GROUPS}
+        fields[group] = fields[group].astype(np.result_type(fields[group], value))
         row, col, _ = targets.centers[0]
         fields[group][0, row, col] = value
         fixture = tmp_path / "head.npz"
@@ -270,6 +272,13 @@ class TestExtremeHeadOutput:
         assert any(d.box.l == pytest.approx(edge, rel=1e-12) for d in dets)
         assert all(math.exp(LOG_SIZE_BAND[0]) * 0.999 < v < math.exp(LOG_SIZE_BAND[1]) * 1.001
                    for d in dets for v in (d.box.l, d.box.w, d.box.h))
+
+    @pytest.mark.parametrize("group", ["heatmap", "iou"])
+    def test_complex_group_exit_one_naming_it(self, scene, train_ckpt, tmp_path, capsys, group):
+        code, out, _, _ = self._detect(scene, train_ckpt, tmp_path, group, 0.5 + 0.25j)
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: head {group} must hold real numbers, got dtype complex128"]
 
     @pytest.mark.parametrize("group", ["heatmap", "size"])
     def test_non_finite_value_exit_one_naming_its_cell(self, scene, train_ckpt, tmp_path, capsys, group):
@@ -377,7 +386,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("key,value", [
         ("max_detections", -45), ("score_thresh", float("nan")), ("loss_weights", [float("nan"), 1.0, 0.25]),
         ("pillar_size", [0.2, 0.2, 7.0]), ("pillar_size", [0.2]), ("pillar_size", []),
-        ("range", dict(DESK.grid.range.as_dict(), w_min=0.0)),
+        ("range", dict(dataclasses.asdict(DESK.grid.range), w_min=0.0)),
     ])
     @pytest.mark.parametrize("command", ["detect", "train-step"])
     def test_profile_value_that_gives_wrong_results_exit_one(self, scene, train_ckpt, tmp_path, capsys,
@@ -423,6 +432,20 @@ class TestInputErrors:
         assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate 458. GiB")
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "bench", "init"])
+    def test_size_numpy_cannot_allocate_is_one_error_line_exit_one(self, tmp_path, capsys, command):
+        # numpy refuses each of these sizes before it allocates anything
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(dict(DESK_PROFILE_JSON, encoder_dim=2**59)))
+        argv = {
+            "generate": ["generate", "--background", str(2**62), "--out", str(tmp_path / "scene.bin")],
+            "bench": ["bench", "--sizes", str(2**62)],
+            "init": ["init", "--profile", str(profile), "--out", str(tmp_path / "ckpt.json")],
+        }[command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: out of memory: array is too big") and err.count("\n") == 1
+
     def test_truncated_stage_blocks_manifest_exit_one(self, scene, train_ckpt, tmp_path, capsys):
         manifest = json.loads(train_ckpt.read_text())
         manifest["meta"]["arch"]["stage_blocks"] = [1, 1, 1]
@@ -430,6 +453,52 @@ class TestInputErrors:
         assert main(["detect", "--profile", "desk", "--cloud", str(scene),
                      "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "d.csv")]) == 1
         assert "stage_blocks" in capsys.readouterr().err
+
+
+def _first_tensor(key, value):
+    def edit(manifest):
+        manifest["tensors"][0][key] = value
+        return manifest
+    return edit
+
+
+MALFORMED_JSON_FILES = [
+    pytest.param("manifest", lambda m: [1], "manifest", id="manifest-list"),
+    pytest.param("manifest", lambda m: dict(m, meta=5), "meta", id="manifest-meta-int"),
+    pytest.param("manifest", lambda m: dict(m, blob=5), "blob", id="manifest-blob-int"),
+    pytest.param("manifest", lambda m: dict(m, version="x"), "version", id="manifest-version-str"),
+    pytest.param("manifest", lambda m: dict(m, version=None), "version", id="manifest-version-null"),
+    pytest.param("manifest", _first_tensor("shape", [10**30]), "tensor 0 shape", id="manifest-shape-huge"),
+    pytest.param("manifest", _first_tensor("offset", 10**30), "tensor 0 offset", id="manifest-offset-huge"),
+    pytest.param("manifest", _first_tensor("offset", 1), "tensor 0 offset", id="manifest-offset-1"),
+    *[pytest.param("manifest", _first_tensor("dtype", d), "tensor 0 dtype", id=f"manifest-dtype-{d}")
+      for d in (">f4", "<i4", "<f8")],
+    pytest.param("manifest", lambda m: dict(m, tensors=m["tensors"][:1] + m["tensors"]), "tensor 1 name",
+                 id="manifest-repeated-entry"),
+    pytest.param("manifest", _first_tensor("shape", [2.0]), "tensor 0 shape", id="manifest-shape-float"),
+    pytest.param("profile", lambda p: [1, 2], "profile", id="profile-list"),
+    pytest.param("profile", lambda p: "desk", "profile", id="profile-str"),
+    *[pytest.param("profile", lambda p, k=key, v=value: dict(p, **{k: v}), key, id=f"profile-{key}-huge")
+      for key, value in (("score_thresh", 10**400), ("nms_iou", 10**400), ("pillar_size", [0.2, 10**400]),
+                         ("loss_weights", [1.0, 10**400, 0.25]), ("encoder_dim", 10**30))],
+    pytest.param("cloud", lambda c: [], "cloud metadata", id="cloud-metadata-list"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,key", MALFORMED_JSON_FILES)
+def test_malformed_json_file_is_one_error_line_naming_file_and_key(scene, train_ckpt, tmp_path, capsys,
+                                                                   kind, edit, key):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(DESK_PROFILE_JSON))
+    path = {"manifest": train_ckpt, "profile": profile, "cloud": meta_path(scene)}[kind]
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = tmp_path / "dets.csv"
+    capsys.readouterr()
+    assert main(["detect", "--profile", str(profile), "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0] and key in err[0], err
+    assert not out.exists()
 
 
 def test_bench_times_the_fused_network(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ def desk_scene(seed=0, n_objects=3):
 
 DESK_PROFILE_JSON = {
     "name": "desk-file",
-    "range": DESK.grid.range.as_dict(),
+    "range": dataclasses.asdict(DESK.grid.range),
     "pillar_size": [0.2, 0.2],
     "n_classes": 3,
     "encoder_dim": 8,
@@ -98,7 +99,7 @@ class TestProfiles:
 
         cfg = {
             "name": "custom",
-            "range": DESK.grid.range.as_dict(),
+            "range": dataclasses.asdict(DESK.grid.range),
             "pillar_size": [0.2, 0.2],
             "n_classes": 3,
             "encoder_dim": 8,
@@ -155,9 +156,9 @@ class TestProfiles:
         ("pillar_size", [0.2, "0.2"], False),
         ("loss_weights", [1.0, 1.0, None], False),
         ("nms_iou", [0.5, False, 0.5], False),
-        ("range", dict(DESK.grid.range.as_dict(), x_min="-6.4"), False),
+        ("range", dict(dataclasses.asdict(DESK.grid.range), x_min="-6.4"), False),
         ("loss_weights", [1, 1, 0], True),
-        ("range", dict(DESK.grid.range.as_dict(), z_min=-2, z_max=2), True),
+        ("range", dict(dataclasses.asdict(DESK.grid.range), z_min=-2, z_max=2), True),
     ])
     def test_list_elements_and_range_values_checked(self, tmp_path, key, value, ok):
         import json

@@ -80,21 +80,15 @@ class TestIO:
         with pytest.raises(ValidationError):
             load_cloud(tmp_path / "nope.bin")
 
-    def test_declared_range_roundtrip(self, tmp_path):
-        cloud = PointCloud(np.zeros((1, 5)), declared_range=RANGE)
-        p = tmp_path / "ranged.bin"
-        save_cloud(cloud, p)
-        assert load_cloud(p).declared_range == RANGE
-
-    def test_declared_range_with_an_extra_key_rejected(self, tmp_path):
-        p = tmp_path / "ranged.bin"
-        save_cloud(PointCloud(np.zeros((1, 5)), declared_range=RANGE), p)
-        meta = json.loads(meta_path(p).read_text())
-        assert sorted(meta["declared_range"]) == ["x_max", "x_min", "y_max", "y_min", "z_max", "z_min"]
-        meta["declared_range"]["w_min"] = 0.0
-        meta_path(p).write_text(json.dumps(meta))
-        with pytest.raises(ValidationError, match="w_min"):
-            load_cloud(p)
+    def test_metadata_is_the_record_count(self, tmp_path):
+        p = tmp_path / "cloud.bin"
+        save_cloud(PointCloud(np.ones((2, 5))), p)
+        assert json.loads(meta_path(p).read_text()) == {"record_count": 2}
+        # older files also carry a declared range, which a load does not read
+        rng = {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0, "z_min": -1.0, "z_max": 1.0}
+        for declared in (None, rng, dict(rng, w_min=0.0)):
+            meta_path(p).write_text(json.dumps({"declared_range": declared, "record_count": 2}))
+            assert np.array_equal(load_cloud(p).data, np.ones((2, 5)))
 
 
 class TestCrop:
@@ -103,7 +97,6 @@ class TestCrop:
         cloud = random_cloud(rng, 50)
         out = crop_to_range(cloud, RANGE)
         assert np.array_equal(out.data, cloud.data)
-        assert out.declared_range == RANGE
 
     def test_max_boundary_dropped(self):
         cloud = PointCloud(np.array([[10.0, 0.0, 0.0, 0.0, 0.0]]))
