@@ -26,7 +26,7 @@ from .backbone import (
     neck_convs,
 )
 from .encoder import EncoderParams
-from .errors import ValidationError, check_json, read_json
+from .errors import ValidationError, check_record, read_json
 from .head import HEAD_GROUPS, build_head, split_channels
 from .nn import BN_EPS, BNParams, ConvParams, RepBlockParams, has_identity
 from .pillars import AUGMENTED_DIM
@@ -35,9 +35,10 @@ FORMAT = "pillardet-checkpoint"
 VERSION = 1
 _DTYPE = "<f4"  # every tensor, as save_tensors writes it
 
-# the JSON type of each key of a manifest, of a tensor table entry and of the arch it records
+# the JSON type of each key of a manifest, of one tensor table entry, of its meta and of meta's arch
 _HEADER = {"format": str, "version": int, "blob": str, "tensors": list, "meta": dict}
 _ENTRY = {"name": str, "shape": list[int], "offset": int, "dtype": str}
+_META = {"mode": str, "arch": dict}
 _ARCH_KEYS = {"encoder_dim": int, "stage_blocks": list[int], "stage_channels": list[int], "neck_channels": int,
               "n_classes": int}
 # arch keys that older manifests wrote, each only ever with the value every checkpoint now assumes
@@ -63,13 +64,15 @@ class ArchConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d, where: str) -> "ArchConfig":
-        values = _fields(where, d, _ARCH_KEYS)
+    def from_dict(cls, d: dict, where: str) -> "ArchConfig":
+        d = dict(d)
         for key, value in _FIXED_ARCH_KEYS.items():
-            if d.get(key, value) != value:
-                raise ValidationError(f"{where} {key} is {d[key]!r}, but only {value!r} is supported")
+            legacy = d.pop(key, value)
+            if legacy != value:
+                raise ValidationError(f"{where} {key} is {legacy!r}, but only {value!r} is supported")
+        check_record(where, d, _ARCH_KEYS)
         try:
-            return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in values.items()})
+            return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from e
 
@@ -244,23 +247,17 @@ def save_tensors(manifest_path, tensors: dict[str, np.ndarray], meta: dict) -> N
     manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _fields(where: str, record, kinds: dict) -> dict:
-    """The ``kinds`` keys of the JSON object ``record``, each type-checked."""
-    record = check_json(where, record, dict)
-    return {key: check_json(f"{where} {key}", record.get(key), kind) for key, kind in kinds.items()}
-
-
 def load_tensors(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
     """The tensors and meta of a manifest in the layout ``save_tensors`` writes: float32
     tensors packed back to back from offset 0, with the blob ending where the table ends."""
     manifest_path = Path(manifest_path)
-    header = _fields(f"{manifest_path}: manifest", read_json(manifest_path, "checkpoint manifest"), _HEADER)
+    header = check_record(f"{manifest_path}: manifest", read_json(manifest_path, "checkpoint manifest"), _HEADER)
     if (header["format"], header["version"]) != (FORMAT, VERSION):
         raise ValidationError(f"{manifest_path}: manifest format and version must be {FORMAT!r} and {VERSION}")
     layout, end = {}, 0  # each tensor's first element and shape, by name
-    for i, record in enumerate(header["tensors"]):
+    for i, entry in enumerate(header["tensors"]):
         where = f"{manifest_path}: tensor {i}"
-        entry = _fields(where, record, _ENTRY)
+        check_record(where, entry, _ENTRY)
         name, shape = entry["name"], entry["shape"]
         if entry["dtype"] != _DTYPE:
             raise ValidationError(f"{where} dtype is {entry['dtype']!r}, but only {_DTYPE!r} is supported")
@@ -290,6 +287,6 @@ def save_checkpoint(path, params: PipelineParams, arch: ArchConfig) -> None:
 
 def load_checkpoint(path) -> tuple[PipelineParams, ArchConfig, str]:
     tensors, meta = load_tensors(path)
-    mode = check_json(f"{path}: meta mode", meta.get("mode"), str)
-    arch = ArchConfig.from_dict(meta.get("arch"), f"{path}: meta arch")
-    return params_from_tensors(tensors, arch, mode), arch, mode
+    check_record(f"{path}: meta", meta, _META)
+    arch = ArchConfig.from_dict(meta["arch"], f"{path}: meta arch")
+    return params_from_tensors(tensors, arch, meta["mode"]), arch, meta["mode"]

@@ -199,8 +199,9 @@ def cmd_flops(args) -> int:
                      par / 1e6, hw))
     _emit(("ratio", "blocks", "gmacs", "slope_gmacs_per_block", "params_m", "input_hw"), rows, args.format, args.out)
     totals = {ratio: gmacs for ratio, _, gmacs, *_ in rows}
-    if "6-6-3-1" in totals and "3-4-6-3" in totals:
-        print(f"equal-16-block totals: {totals['6-6-3-1'] == totals['3-4-6-3']}")
+    if "6-6-3-1" in totals and "3-4-6-3" in totals:  # a note beside a csv or json-lines stream, not in it
+        print(f"equal-16-block totals: {totals['6-6-3-1'] == totals['3-4-6-3']}",
+              file=sys.stdout if args.format == "text" else sys.stderr)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one reader and type check of JSON files.
+"""Exception types shared across the package, and the one reader, key rule and type check of JSON files.
 
 ValidationError maps to CLI exit code 1, InvariantViolation to exit code 2.
 """
@@ -47,10 +47,32 @@ def check_json(what: str, value, *kinds):
     return value
 
 
+def check_record(where: str, record, kinds: dict) -> dict:
+    """``record`` if it is a JSON object holding exactly the keys of ``kinds``, each value of the type (or one
+    of the tuple of types) declared there; else a ValidationError naming ``where`` and what is wrong."""
+    check_json(where, record, dict)
+    unknown, missing = sorted(set(record) - set(kinds)), sorted(set(kinds) - set(record))
+    if unknown or missing:
+        raise ValidationError(f"{where} has unknown keys {unknown} and missing keys {missing}")
+    for key, kind in kinds.items():
+        check_json(f"{where} {key}", record[key], *(kind if isinstance(kind, tuple) else (kind,)))
+    return record
+
+
 def read_json(path, what: str) -> dict:
-    """The JSON object in the file at ``path``, else a ValidationError naming the file as a ``what``."""
+    """The JSON object in the file at ``path``, else a ValidationError naming the file as a ``what``.
+    A key that appears twice in one object of the file is rejected, not overwritten."""
+
+    def unique_keys(pairs: list) -> dict:
+        record = {}
+        for key, value in pairs:
+            if key in record:
+                raise ValidationError(f"{path}: {what} holds key {key!r} twice in one object")
+            record[key] = value
+        return record
+
     try:
-        value = json.loads(Path(path).read_text())
+        value = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except OSError as e:
         raise ValidationError(f"cannot read {what} {path}: {e}") from e
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, an int past 4,300 digits, deep nesting

@@ -29,6 +29,14 @@ class GridConfig:
     def __post_init__(self):
         if not (self.pillar_x > 0.0 and self.pillar_y > 0.0):
             raise ValidationError("pillar sizes must be positive")
+        r = self.range
+        # assign_pillars sorts the int64 cell keys iy * nx + ix, the largest of which is nx * ny - 1
+        cells_per_axis = ((r.x_max - r.x_min) / self.pillar_x, (r.y_max - r.y_min) / self.pillar_y)
+        if not all(map(math.isfinite, cells_per_axis)) or self.nx * self.ny >= 2**63:
+            raise ValidationError(
+                f"pillar size ({self.pillar_x}, {self.pillar_y}) over range x [{r.x_min}, {r.x_max}),"
+                f" y [{r.y_min}, {r.y_max}) gives more grid cells than int64 cell keys can index"
+            )
         if self.nx < 1 or self.ny < 1:
             raise ValidationError("grid must have at least one cell per axis")
 

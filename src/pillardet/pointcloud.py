@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_json, read_json
+from .errors import ValidationError, check_record, read_json
 from .geometry import Box3D, points_in_box
 
 RECORD_FIELDS = 5
@@ -51,10 +51,8 @@ class Range3D:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Range3D":
-        names = [f.name for f in fields(cls)]
-        if sorted(check_json("range", d, dict)) != sorted(names):
-            raise ValidationError(f"range keys must be exactly {names}, got {sorted(d)}")
-        return cls(**{name: float(check_json(f"range {name}", d[name], float)) for name in names})
+        check_record("range", d, {f.name: float for f in fields(cls)})
+        return cls(**{name: float(value) for name, value in d.items()})
 
 
 class PointCloud:
@@ -107,8 +105,10 @@ def load_cloud(path) -> PointCloud:
         )
     data = np.frombuffer(raw, dtype=_DTYPE).reshape(-1, RECORD_FIELDS).astype(np.float64)
     mp = meta_path(path)
-    if mp.exists():  # other keys, such as the declared_range older files carry, are not read
-        count = check_json(f"{mp}: record_count", read_json(mp, "cloud metadata").get("record_count"), int)
+    if mp.exists():
+        meta = read_json(mp, "cloud metadata")
+        meta.pop("declared_range", None)  # older files carry it; nothing reads it
+        count = check_record(f"{mp}: cloud metadata", meta, {"record_count": int})["record_count"]
         if count != data.shape[0]:
             raise ValidationError(f"{path}: metadata says {count} records, file holds {data.shape[0]}")
     return PointCloud(data)

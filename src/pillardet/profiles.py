@@ -3,7 +3,8 @@
 ``waymo`` and ``nuscenes`` carry the published deployment constants (ranges,
 pillar sizes, NMS policy, rectification exponents, loss weights). ``desk`` is
 a small grid for fast end-to-end runs and tests. Profiles can also be read
-from a JSON file with exactly the keys below; unknown keys are rejected.
+from a JSON file with exactly the keys below; unknown, missing and repeated keys
+are rejected.
 
 The MAC/params analyzer additionally has an accounting profile: the compute
 table is reproduced at a stage-1 resolution of 720x720 with a 64-wide stem
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .backbone import DEFAULT_CHANNELS, BackboneConfig
 from .checkpoint import ArchConfig
-from .errors import ValidationError, check_json, read_json
+from .errors import ValidationError, check_record, read_json
 from .head import head_map_hw
 from .losses import LossWeights
 from .pillars import GridConfig
@@ -169,14 +170,7 @@ _PROFILE_KEYS = {
 
 
 def profile_from_dict(d: dict) -> Profile:
-    unknown = set(d) - set(_PROFILE_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown profile keys: {sorted(unknown)}")
-    missing = set(_PROFILE_KEYS) - set(d)
-    if missing:
-        raise ValidationError(f"profile is missing keys: {sorted(missing)}")
-    for key, kinds in _PROFILE_KEYS.items():
-        check_json(f"profile key {key!r}", d[key], *(kinds if isinstance(kinds, tuple) else (kinds,)))
+    check_record("profile", d, _PROFILE_KEYS)
     for key, n in (("pillar_size", 2), ("loss_weights", 3)):
         if len(d[key]) != n:
             raise ValidationError(f"profile key {key!r} must hold {n} numbers, got {d[key]!r}")

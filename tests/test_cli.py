@@ -1,9 +1,11 @@
+import csv
 import dataclasses
 import json
 import math
 import re
 import shlex
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +176,15 @@ class TestFlops:
                      "--ratios", "6,6,3,1", "--ratios", "3,4,6,3"]) == 0
         assert "equal-16-block totals: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_csv_and_json_lines_stdout_holds_only_records(self, capsys, fmt):
+        assert main(["flops", "--profile", "waymo", "--format", fmt,
+                     "--ratios", "6,6,3,1", "--ratios", "3,4,6,3"]) == 0
+        out, err = capsys.readouterr()
+        rows = list(csv.DictReader(StringIO(out))) if fmt == "csv" else [json.loads(ln) for ln in out.splitlines()]
+        assert [row["ratio"] for row in rows] == ["6-6-3-1", "3-4-6-3"]
+        assert err == "equal-16-block totals: True\n"
+
     def test_transitions_only_floor(self, tmp_path):
         out = tmp_path / "floor.csv"
         assert main(["flops", "--format", "csv", "--out", str(out), "--ratios", "0,0,0,0"]) == 0
@@ -239,6 +250,43 @@ class TestDetect:
         rc = main(["detect", "--profile", "waymo", "--cloud", str(scene),
                    "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+class TestLegacyFiles:
+    def _detect(self, scene, ckpt, out):
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_manifest_with_the_fixed_arch_keys_detects_the_same_bytes(self, scene, train_ckpt, tmp_path):
+        plain = self._detect(scene, train_ckpt, tmp_path / "plain.csv")
+        assert len(read_detections(tmp_path / "plain.csv")) > 0
+        manifest = json.loads(train_ckpt.read_text())
+        manifest["meta"]["arch"].update(in_dim=11, bn_eps=1e-5, norm_eps=1e-5)
+        train_ckpt.write_text(json.dumps(manifest))
+        assert self._detect(scene, train_ckpt, tmp_path / "legacy.csv") == plain
+
+    @pytest.mark.parametrize("key,value", [("in_dim", 12), ("bn_eps", 1e-3), ("norm_eps", None)])
+    def test_fixed_arch_key_at_another_value_exit_one_naming_it(self, scene, train_ckpt, tmp_path, capsys,
+                                                                key, value):
+        manifest = json.loads(train_ckpt.read_text())
+        manifest["meta"]["arch"][key] = value
+        train_ckpt.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+    def test_cloud_metadata_with_a_declared_range_loads_the_same_records(self, scene, capsys):
+        argv = ["encode", "--profile", "desk", "--cloud", str(scene), "--format", "csv"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        meta = json.loads(meta_path(scene).read_text())
+        meta_path(scene).write_text(json.dumps(dict(meta, declared_range=dataclasses.asdict(DESK.grid.range))))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestExtremeHeadOutput:
@@ -418,6 +466,40 @@ class TestInputErrors:
         assert "'desk-file'" in err[0] and f"grid {grid}" in err[0] and f"head map {head}" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps(dict(DESK_PROFILE_JSON, range=dict(DESK_PROFILE_JSON["range"], x_min=-1e308, x_max=1e308))),
+         "int64 cell keys"),
+        (json.dumps(dict(DESK_PROFILE_JSON, pillar_size=[1e-280, 0.2])), "int64 cell keys"),
+        (json.dumps(DESK_PROFILE_JSON).replace('"score_thresh": 0.3', '"score_thresh": 0.3, "score_thresh": 0.9'),
+         "key 'score_thresh' twice"),
+    ], ids=["range-past-float", "pillar-past-int64", "repeated-key"])
+    @pytest.mark.parametrize("command", ["generate", "detect", "encode", "pillarize", "train-step"])
+    def test_profile_rejected_at_load_by_every_command(self, scene, train_ckpt, tmp_path, capsys, text, message,
+                                                       command):
+        profile = tmp_path / "profile.json"
+        profile.write_text(text)
+        io = {
+            "generate": ["--out", str(tmp_path / "new.bin")],
+            "detect": ["--cloud", str(scene), "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "d.csv")],
+            "encode": ["--cloud", str(scene)],
+            "pillarize": ["--cloud", str(scene)],
+            "train-step": ["--cloud", str(scene), "--boxes", str(scene) + ".boxes.csv"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--profile", str(profile), *io]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {profile}: ") and message in err and err.count("\n") == 1
+
+    def test_grid_that_fits_int64_but_not_memory_is_out_of_memory(self, scene, train_ckpt, tmp_path, capsys):
+        # 1.28e9 x 1.28e9 cells: int64 keys hold them, numpy refuses the canvas before it allocates
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(dict(DESK_PROFILE_JSON, pillar_size=[1e-8, 1e-8])))
+        capsys.readouterr()
+        assert main(["detect", "--profile", str(profile), "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: out of memory: array is too big") and err.count("\n") == 1
+
     def test_out_of_memory_is_one_error_line_exit_one(self, scene, train_ckpt, tmp_path, capsys, monkeypatch):
         import pillardet.pipeline as pipeline
 
@@ -482,6 +564,14 @@ MALFORMED_JSON_FILES = [
       for key, value in (("score_thresh", 10**400), ("nms_iou", 10**400), ("pillar_size", [0.2, 10**400]),
                          ("loss_weights", [1.0, 10**400, 0.25]), ("encoder_dim", 10**30))],
     pytest.param("cloud", lambda c: [], "cloud metadata", id="cloud-metadata-list"),
+    pytest.param("profile", lambda p: dict(p, x=1), "['x']", id="profile-added-key"),
+    pytest.param("profile", lambda p: dict(p, range=dict(p["range"], x=1)), "['x']", id="profile-range-added-key"),
+    pytest.param("manifest", lambda m: dict(m, x=1), "['x']", id="manifest-added-key"),
+    pytest.param("manifest", lambda m: dict(m, meta=dict(m["meta"], x=1)), "['x']", id="manifest-meta-added-key"),
+    pytest.param("manifest", lambda m: dict(m, meta=dict(m["meta"], arch=dict(m["meta"]["arch"], x=1))), "['x']",
+                 id="manifest-arch-added-key"),
+    pytest.param("manifest", _first_tensor("x", 1), "['x']", id="manifest-tensor-added-key"),
+    pytest.param("cloud", lambda c: dict(c, x=1), "['x']", id="cloud-metadata-added-key"),
 ]
 
 

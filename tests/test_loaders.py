@@ -2,8 +2,9 @@
 
 Each key path of a saved profile, of a checkpoint manifest (its header, ``meta``,
 ``meta.arch`` and one tensor table entry) and of cloud metadata takes, in turn,
-each of a set of values of the wrong type, sign or size. The readers run
-in-process; none of them builds a network.
+each of a set of values of the wrong type, sign or size. Each JSON object of these
+files also takes one key it does not hold, and each file one key written twice;
+both are rejected. The readers run in-process; none of them builds a network.
 """
 
 import copy
@@ -75,3 +76,30 @@ def test_every_substitution_is_loaded_or_rejected(tmp_path, make, value):
         except Exception as e:  # any other exception is the failure this test looks for
             escaped.append(f"{list(key_path)}: {type(e).__name__}: {e}")
     assert escaped == []
+
+
+OBJECT_PATHS = [
+    (_profile, ()), (_profile, ("range",)),
+    (_manifest, ()), (_manifest, ("meta",)), (_manifest, ("meta", "arch")), (_manifest, ("tensors", 0)),
+    (_cloud_metadata, ()),
+]
+
+
+@pytest.mark.parametrize("make,object_path", OBJECT_PATHS,
+                         ids=lambda v: v.__name__[1:] if callable(v) else ".".join(map(str, v)) or "root")
+def test_an_added_key_is_rejected_naming_it(tmp_path, make, object_path):
+    path, load, _ = make(tmp_path)
+    path.write_text(json.dumps(_substituted(json.loads(path.read_text()), (*object_path, "x"), 1)))
+    with pytest.raises(ValidationError, match=r"unknown keys \['x'\]"):
+        load()
+
+
+@pytest.mark.parametrize("make", [_profile, _manifest, _cloud_metadata], ids=lambda make: make.__name__[1:])
+def test_a_repeated_key_is_rejected_naming_it(tmp_path, make):
+    path, load, _ = make(tmp_path)
+    doc = json.loads(path.read_text())
+    key = next(iter(doc))
+    # the first key of the root object, written once more ahead of the whole object
+    path.write_text("{" + json.dumps(key) + ": " + json.dumps(doc[key]) + ", " + json.dumps(doc)[1:])
+    with pytest.raises(ValidationError, match=f"key {key!r} twice"):
+        load()

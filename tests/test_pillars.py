@@ -198,3 +198,21 @@ class TestGridConfig:
     def test_invalid_pillar_size(self):
         with pytest.raises(ValidationError):
             GridConfig(Range3D(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 0.0, 0.2)
+
+    @pytest.mark.parametrize("y_max,ok", [(2.0**31 - 1, True), (2.0**31, False)])
+    def test_cell_count_must_fit_the_int64_cell_keys(self, y_max, ok):
+        rng = Range3D(0.0, 2.0**32, 0.0, y_max, 0.0, 1.0)  # nx = 2**32, so nx * ny reaches 2**63 at ny = 2**31
+        if ok:
+            grid = GridConfig(rng, 1.0, 1.0)
+            assert grid.nx * grid.ny == 2**63 - 2**32
+        else:
+            with pytest.raises(ValidationError, match="int64 cell keys"):
+                GridConfig(rng, 1.0, 1.0)
+
+    @pytest.mark.parametrize("rng,pillar_x", [
+        (Range3D(-1e308, 1e308, 0.0, 1.0, 0.0, 1.0), 0.2),  # the range's width overflows to inf
+        (Range3D(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 5e-324),  # so does width / pillar size
+    ])
+    def test_infinite_cell_count_rejected(self, rng, pillar_x):
+        with pytest.raises(ValidationError, match="int64 cell keys"):
+            GridConfig(rng, pillar_x, 0.2)
