@@ -184,13 +184,12 @@ def build_neck(c8: int, c16: int, out_channels: int, rng: np.random.Generator | 
 
 def neck_fuse(f8: np.ndarray, f16: np.ndarray, neck: NeckParams) -> np.ndarray:
     """Upsample the 16x map, project both levels, concat, fuse. Output at 8x."""
-    if f16.shape[2] * 2 != f8.shape[2] or f16.shape[3] * 2 != f8.shape[3]:
-        raise ValidationError(
-            f"16x map {f16.shape[2:]} must be half the 8x map {f8.shape[2:]} spatially"
-        )
     a = conv2d(f8, neck.proj8)
-    b = conv2d(upsample_nearest2(f16), neck.proj16)
-    return relu(conv2d(np.concatenate([a, b], axis=1), neck.fuse))
+    up = upsample_nearest2(f16)
+    if up.shape[1:] != a.shape[1:]:
+        raise ValidationError(f"16x map {f16.shape[1:]} must be half the 8x map {f8.shape[1:]} spatially")
+    b = conv2d(up, neck.proj16)
+    return relu(conv2d(np.concatenate([a, b]), neck.fuse))
 
 
 def block_macs(channels, h, w):

@@ -91,6 +91,17 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """An int >= 0: numpy's generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load_params(path: str, profile):
     params, arch, _ = ckpt.load_checkpoint(path)
     if arch != profile.arch():
@@ -208,7 +219,7 @@ def cmd_flops(args) -> int:
 def cmd_detect(args) -> int:
     profile = load_profile(args.profile)
     cloud = load_cloud(args.cloud)
-    params = _load_params(args.checkpoint, profile)
+    params = ckpt.fuse_params(_load_params(args.checkpoint, profile))  # the deployed network, whatever the mode
     inject = load_head_output(args.inject_head) if args.inject_head else None
     dets = run_detect(cloud, params, profile, inject_head=inject)
     write_detections(dets, args.out)
@@ -220,7 +231,7 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     profile = load_profile(args.profile)
-    # the deployed network: what detect runs on a fused checkpoint
+    # the deployed network, which is what detect runs on any checkpoint
     params = ckpt.fuse_params(ckpt.new_params(profile.arch(), mode="random", seed=args.seed))
     rows = []
     for size in args.sizes:
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic scene (cloud + boxes)")
     common(p, fmt=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--objects", type=int, default=4)
     p.add_argument("--points-per-object", type=int, default=120)
     p.add_argument("--background", type=int, default=400)
@@ -325,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("fuse", help="fuse a train-mode checkpoint; verify equivalence")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("checkpoint_in")
     p.add_argument("checkpoint_out")
     p.add_argument("--probes", type=int, default=8)
@@ -346,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-stage wall-clock percentiles")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", type=_int_list, default="2000")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train-step", help="loss breakdown diagnostic on a scene")
     common(p, fmt=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cloud", required=True)
     p.add_argument("--boxes", required=True)
     p.add_argument("--checkpoint", default=None)
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", help="write a fresh train-mode checkpoint")
     common(p, fmt=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mode", choices=("random", "identity"), default="random")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init)

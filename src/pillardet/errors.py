@@ -48,8 +48,8 @@ def check_json(what: str, value, *kinds):
 
 
 def check_record(where: str, record, kinds: dict) -> dict:
-    """``record`` if it is a JSON object holding exactly the keys of ``kinds``, each value of the type (or one
-    of the tuple of types) declared there; else a ValidationError naming ``where`` and what is wrong."""
+    """``record`` if it is a JSON object (or the arrays of an npz) holding exactly the keys of ``kinds``, each value
+    of the type (or one of the tuple of types) declared there; else a ValidationError naming ``where`` and what is wrong."""
     check_json(where, record, dict)
     unknown, missing = sorted(set(record) - set(kinds)), sorted(set(kinds) - set(record))
     if unknown or missing:

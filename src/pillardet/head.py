@@ -14,12 +14,13 @@ classification and IoU scores as cls^(1-alpha) * iou^alpha.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_record
 from .geometry import Box3D, rotated_iou_bev
 from .nn import ConvParams, conv2d
 from .pillars import GridConfig
@@ -271,10 +272,10 @@ def _sigmoid(x):
 
 
 def head_forward(features: np.ndarray, params: ConvParams) -> HeadOutput:
-    """Apply the prediction conv to a single-sample (1, C, h, w) feature map;
+    """Apply the prediction conv to a (C, h, w) feature map;
     a non-finite output is an internal fault."""
     # float32 views; HeadOutput copies each group to float64, so no output keeps the whole stack alive
-    groups = split_channels(conv2d(features, params)[0])
+    groups = split_channels(conv2d(features, params))
     groups["heatmap"] = np.clip(_sigmoid(groups["heatmap"]), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
     groups["iou"] = np.tanh(groups["iou"], dtype=np.float64)
     try:
@@ -288,8 +289,14 @@ def save_head_output(out: HeadOutput, path) -> None:
 
 
 def load_head_output(path) -> HeadOutput:
+    """The head output of an npz that holds exactly the ``HEAD_GROUPS`` arrays, as ``save_head_output`` writes."""
     try:
-        with np.load(path) as data:
-            return HeadOutput(**{name: data[name] for name, _, _ in HEAD_GROUPS})
-    except (OSError, KeyError, ValueError) as e:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValidationError(f"{path} holds one bare array, not an npz of named head arrays")
+        with data:
+            arrays = dict(data)
+    except (OSError, ValueError, zipfile.BadZipFile) as e:
         raise ValidationError(f"cannot load head output from {path}: {e}") from e
+    check_record(f"{path}: head output", arrays, {name: np.ndarray for name, _, _ in HEAD_GROUPS})
+    return HeadOutput(**arrays)

@@ -1,10 +1,10 @@
-"""Minimal NCHW float32 compute: conv, batchnorm, rectifier, pooling, and the
+"""Minimal (C, H, W) float32 compute: conv, batchnorm, rectifier, pooling, and the
 three-branch reparameterizable block with its exact single-conv fusion.
 
 A conv is a GEMM on unrolled columns (the im2col scheme of Caffe, Jia et
 al. 2014): k*k strided plane copies of the padded input fill (c_in*k*k, rows)
 columns, and the kernel, reshaped to (c_out, c_in*k*k), multiplies them from
-the left, so the product is already NCHW output. The columns are filled and
+the left, so the product is already (C, H, W) output. The columns are filled and
 multiplied one band of output rows at a time, each band at most
 COLUMN_BLOCK_BYTES or the kernel's own size if that is larger, so a conv needs
 its padded input, its output and one band rather than the whole
@@ -138,49 +138,47 @@ class BNParams:
 
 def check_tensor(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim != 4:
-        raise ValidationError(f"expected an (n, c, h, w) tensor, got shape {x.shape}")
+    if x.ndim != 3:
+        raise ValidationError(f"expected a (c, h, w) feature map, got shape {x.shape}")
     return x.astype(FLOAT, copy=False)
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Standard cross-correlation, padding k // 2; float32 in, a fresh C-contiguous float32 out."""
     x = check_tensor(x)
-    n, ci, h, w = x.shape
+    ci, h, w = x.shape
     if ci != p.in_channels:
         raise ValidationError(f"input has {ci} channels, conv expects {p.in_channels}")
     k, pad, s = p.ksize, p.padding, p.stride
     ho = (h + 2 * pad - k) // s + 1
     wo = (w + 2 * pad - k) // s + 1
     kernel = p.kernel.reshape(p.out_channels, ci * k * k)
-    out = np.empty((n, p.out_channels, ho * wo), dtype=FLOAT)
+    out = np.empty((p.out_channels, ho * wo), dtype=FLOAT)
     if k == 1 and s == 1:
-        for i in range(n):
-            np.matmul(kernel, x[i].reshape(ci, h * w), out=out[i])
+        np.matmul(kernel, x.reshape(ci, h * w), out=out)
     else:
         if pad:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
         # each GEMM call repacks the whole kernel, so a band is never smaller than the kernel
         budget = max(COLUMN_BLOCK_BYTES, kernel.nbytes)
         rows = max(1, min(ho, budget // max(ci * k * k * wo * out.itemsize, 1)))
         buf = np.empty(ci * k * k * rows * wo, dtype=FLOAT)
-        for i in range(n):
-            for r0 in range(0, ho, rows):
-                r1 = min(r0 + rows, ho)
-                cols = buf[: ci * k * k * (r1 - r0) * wo].reshape(ci, k, k, r1 - r0, wo)
-                for ky in range(k):
-                    for kx in range(k):
-                        cols[:, ky, kx] = x[i, :, ky + s * r0 : ky + s * r1 : s, kx : kx + s * wo : s]
-                np.matmul(kernel, cols.reshape(ci * k * k, -1), out=out[i][:, r0 * wo : r1 * wo])
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            cols = buf[: ci * k * k * (r1 - r0) * wo].reshape(ci, k, k, r1 - r0, wo)
+            for ky in range(k):
+                for kx in range(k):
+                    cols[:, ky, kx] = x[:, ky + s * r0 : ky + s * r1 : s, kx : kx + s * wo : s]
+            np.matmul(kernel, cols.reshape(ci * k * k, -1), out=out[:, r0 * wo : r1 * wo])
     out += p.bias[:, None]
-    return out.reshape(n, p.out_channels, ho, wo)
+    return out.reshape(p.out_channels, ho, wo)
 
 
 def batchnorm(x: np.ndarray, bn: BNParams) -> np.ndarray:
     """Inference-mode normalization with the stored running statistics."""
     x = check_tensor(x)
-    if x.shape[1] != bn.channels:
-        raise ValidationError(f"input has {x.shape[1]} channels, bn expects {bn.channels}")
+    if x.shape[0] != bn.channels:
+        raise ValidationError(f"input has {x.shape[0]} channels, bn expects {bn.channels}")
     scale = bn.scale
     shift = (bn.beta - bn.mean * scale).astype(FLOAT)
     return x * scale.astype(FLOAT)[:, None, None] + shift[:, None, None]
@@ -193,17 +191,17 @@ def relu(x: np.ndarray) -> np.ndarray:
 def maxpool2(x: np.ndarray) -> np.ndarray:
     """2x2 stride-2 max pooling, as the max of the four strided quarters; spatial dims must be even."""
     x = check_tensor(x)
-    h, w = x.shape[2:]
+    h, w = x.shape[1:]
     if h % 2 or w % 2:
         raise ValidationError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
-    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
-    return np.maximum(out, x[:, :, 1::2, 1::2], out=out)
+    out = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    np.maximum(out, x[:, 1::2, 0::2], out=out)
+    return np.maximum(out, x[:, 1::2, 1::2], out=out)
 
 
 def upsample_nearest2(x: np.ndarray) -> np.ndarray:
     x = check_tensor(x)
-    return x.repeat(2, axis=2).repeat(2, axis=3)
+    return x.repeat(2, axis=1).repeat(2, axis=2)
 
 
 def bn_fold(conv: ConvParams, bn: BNParams) -> ConvParams:

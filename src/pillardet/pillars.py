@@ -130,13 +130,13 @@ def augment_points(cloud: PointCloud, pillar: Pillar, cfg: GridConfig) -> np.nda
 
 @dataclass(frozen=True)
 class BEVCanvas:
-    """Dense pseudo-image (1, D, ny, nx)."""
+    """Dense pseudo-image (D, ny, nx)."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != 4 or self.data.shape[0] != 1:
-            raise ValidationError(f"canvas must be (1, D, ny, nx), got {self.data.shape}")
+        if self.data.ndim != 3:
+            raise ValidationError(f"canvas must be (D, ny, nx), got {self.data.shape}")
 
 
 def scatter(pillar_features, cfg: GridConfig, dim: int) -> BEVCanvas:
@@ -145,7 +145,7 @@ def scatter(pillar_features, cfg: GridConfig, dim: int) -> BEVCanvas:
     Cells not covered by a pillar stay exactly zero; duplicate cells are
     rejected.
     """
-    data = np.zeros((1, dim, cfg.ny, cfg.nx), dtype=np.float32)
+    data = np.zeros((dim, cfg.ny, cfg.nx), dtype=np.float32)
     occupied = np.zeros((cfg.ny, cfg.nx), dtype=bool)
     for pillar, feat in pillar_features:
         feat = np.asarray(feat)
@@ -153,6 +153,6 @@ def scatter(pillar_features, cfg: GridConfig, dim: int) -> BEVCanvas:
             raise ValidationError(f"feature of shape {feat.shape} does not have width dim={dim}")
         if occupied[pillar.iy, pillar.ix]:
             raise ValidationError(f"duplicate pillar cell (ix={pillar.ix}, iy={pillar.iy})")
-        data[0, :, pillar.iy, pillar.ix] = feat
+        data[:, pillar.iy, pillar.ix] = feat
         occupied[pillar.iy, pillar.ix] = True
     return BEVCanvas(data)

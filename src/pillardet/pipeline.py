@@ -142,7 +142,7 @@ def fusion_discrepancy(train: PipelineParams, fused: PipelineParams, n_probes: i
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
-        x = rng.normal(0.0, 1.0, (1, train.encoder.dim, FUSION_PROBE_HW, FUSION_PROBE_HW)).astype(np.float32)
+        x = rng.normal(0.0, 1.0, (train.encoder.dim, FUSION_PROBE_HW, FUSION_PROBE_HW)).astype(np.float32)
         a, b = (_dense_forward(x, p).channels() for p in (train, fused))
         scale = max(float(np.max(np.abs(a))), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - b))) / scale)

@@ -21,6 +21,10 @@ from .geometry import Box3D, points_in_box
 RECORD_FIELDS = 5
 RECORD_BYTES = RECORD_FIELDS * 4
 _DTYPE = np.dtype("<f4")
+# Largest |reflectance| and |timestamp| a point may carry: above any sensor's intensity
+# count (16 bits at most) and any sweep's time lag in microseconds. The `init --seed 1`
+# nets first overflow float32 at ~1e32 (nuscenes, waymo) and ~1e38 (desk).
+FIELD_BOUND = 1e6
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,11 @@ class PointCloud:
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad.size:
             raise ValidationError(f"non-finite values in point record {int(bad[0])}")
+        far = np.argwhere(np.abs(data[:, 3:]) > FIELD_BOUND)
+        if far.size:
+            i, j = far[0]
+            field = ("reflectance", "timestamp")[j]
+            raise ValidationError(f"point record {i} {field} {float(data[i, 3 + j])!r} lies outside +-{FIELD_BOUND:g}")
         data.setflags(write=False)
         self._data = data
 

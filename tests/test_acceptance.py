@@ -53,7 +53,7 @@ def test_criterion_1_fusion_equivalence():
         stride = int(rng.choice([1, 2]))
         block = random_rep_block(rng, ci, co, stride, with_identity=(ci == co and stride == 1 and same))
         hw = int(rng.integers(4, 10))
-        x = rng.normal(size=(1, ci, hw, hw)).astype(np.float32)
+        x = rng.normal(size=(ci, hw, hw)).astype(np.float32)
         worst_block = max(worst_block, rel_discrepancy(rep_forward(x, block), fused_forward(x, fuse_rep_block(block))))
 
     worst_net = 0.0
@@ -69,7 +69,7 @@ def test_criterion_1_fusion_equivalence():
         )
         params = build_backbone(cfg, net_rng)
         fused = fuse_backbone(params)
-        x = net_rng.normal(size=(1, cfg.in_channels, 16, 16)).astype(np.float32)
+        x = net_rng.normal(size=(cfg.in_channels, 16, 16)).astype(np.float32)
         for a, b in zip(backbone_forward(x, params), backbone_forward(x, fused)):
             worst_net = max(worst_net, rel_discrepancy(a, b))
 

@@ -29,20 +29,20 @@ class TestForward:
         cfg = BackboneConfig(stage_blocks=(6, 6, 3, 1), stage_channels=(64, 128, 256, 512),
                              in_channels=64, input_hw=(64, 64))
         params = build_backbone(cfg, np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(1, 64, 64, 64)).astype(np.float32)
+        x = np.random.default_rng(1).normal(size=(64, 64, 64)).astype(np.float32)
         outs = backbone_forward(x, params)
         assert [o.shape for o in outs] == [
-            (1, 64, 64, 64), (1, 128, 32, 32), (1, 256, 16, 16), (1, 512, 8, 8),
+            (64, 64, 64), (128, 32, 32), (256, 16, 16), (512, 8, 8),
         ]
 
     def test_zero_block_stage_keeps_transition(self):
         cfg = small_cfg((0, 2, 2, 2))
         params = build_backbone(cfg, np.random.default_rng(2))
         assert params.stages[0] == []
-        x = np.random.default_rng(3).normal(size=(1, 4, 16, 16)).astype(np.float32)
+        x = np.random.default_rng(3).normal(size=(4, 16, 16)).astype(np.float32)
         outs = backbone_forward(x, params)
-        assert outs[0].shape == (1, 4, 16, 16)
-        assert outs[3].shape == (1, 32, 2, 2)
+        assert outs[0].shape == (4, 16, 16)
+        assert outs[3].shape == (32, 2, 2)
 
     def test_train_vs_fused_forward(self):
         rng = np.random.default_rng(4)
@@ -50,7 +50,7 @@ class TestForward:
         params = build_backbone(cfg, rng)
         fused = fuse_backbone(params)
         assert params.mode == "train" and fused.mode == "fused"
-        x = rng.normal(size=(1, 4, 16, 16)).astype(np.float32)
+        x = rng.normal(size=(4, 16, 16)).astype(np.float32)
         a = backbone_forward(x, params)
         b = backbone_forward(x, fused)
         for ta, tb in zip(a, b):
@@ -62,24 +62,24 @@ class TestNeck:
     def test_output_shape(self):
         rng = np.random.default_rng(5)
         neck = build_neck(16, 32, 24, rng)
-        f8 = rng.normal(size=(1, 16, 8, 8)).astype(np.float32)
-        f16 = rng.normal(size=(1, 32, 4, 4)).astype(np.float32)
-        assert neck_fuse(f8, f16, neck).shape == (1, 24, 8, 8)
+        f8 = rng.normal(size=(16, 8, 8)).astype(np.float32)
+        f16 = rng.normal(size=(32, 4, 4)).astype(np.float32)
+        assert neck_fuse(f8, f16, neck).shape == (24, 8, 8)
 
     def test_zero_16x_path(self):
         rng = np.random.default_rng(6)
         neck = build_neck(8, 16, 8, rng)
-        f8 = rng.normal(size=(1, 8, 6, 6)).astype(np.float32)
-        base = neck_fuse(f8, np.zeros((1, 16, 3, 3), dtype=np.float32), neck)
-        other = neck_fuse(f8, np.zeros((1, 16, 3, 3), dtype=np.float32), neck)
+        f8 = rng.normal(size=(8, 6, 6)).astype(np.float32)
+        base = neck_fuse(f8, np.zeros((16, 3, 3), dtype=np.float32), neck)
+        other = neck_fuse(f8, np.zeros((16, 3, 3), dtype=np.float32), neck)
         np.testing.assert_array_equal(base, other)
         # and the f8 path alone determines it: different f8 changes the output
-        assert not np.array_equal(base, neck_fuse(2 * f8, np.zeros((1, 16, 3, 3), dtype=np.float32), neck))
+        assert not np.array_equal(base, neck_fuse(2 * f8, np.zeros((16, 3, 3), dtype=np.float32), neck))
 
     def test_mismatched_levels_rejected(self):
         neck = build_neck(8, 16, 8)
         with pytest.raises(ValidationError):
-            neck_fuse(np.zeros((1, 8, 6, 6), dtype=np.float32), np.zeros((1, 16, 4, 4), dtype=np.float32), neck)
+            neck_fuse(np.zeros((8, 6, 6), dtype=np.float32), np.zeros((16, 4, 4), dtype=np.float32), neck)
 
 
 class TestMacCounter:

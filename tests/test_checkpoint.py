@@ -110,7 +110,7 @@ class TestCheckpoints:
         save_checkpoint(p, params, arch)
         loaded, _, _ = load_checkpoint(p)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, arch.encoder_dim, 16, 16)).astype(np.float32)
+        x = rng.normal(size=(arch.encoder_dim, 16, 16)).astype(np.float32)
         assert unit_forward(x, loaded.backbone.stem).tobytes() == relu(x).tobytes()
         aug = rng.normal(size=(7, AUGMENTED_DIM))
         assert encode_pillar(aug, loaded.encoder).f.tobytes() == encode_pillar(aug, params.encoder).f.tobytes()

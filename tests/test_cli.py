@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -231,6 +232,62 @@ class TestDetect:
         assert f"heatmap must have shape (3, 8, 8), got {shape}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("names,unknown,missing", [
+        (("heatmapp",), ["heatmapp"], []),
+        (("heatmapp",), ["heatmapp"], ["heatmap"]),
+        ((), [], ["iou"]),
+    ], ids=["extra-array", "misspelt-heatmap", "missing-iou"])
+    def test_injected_head_holds_exactly_its_six_arrays(self, scene, train_ckpt, tmp_path, capsys, names, unknown,
+                                                        missing):
+        boxes = read_boxes(str(scene) + ".boxes.csv")
+        head = head_output_from_targets(render_gaussian_targets(boxes, DESK.grid, DESK.out_stride, DESK.n_classes))
+        fixture = tmp_path / "head.npz"
+        save_head_output(head, fixture)
+        with np.load(fixture) as data:
+            assert sorted(data.files) == sorted(name for name, _, _ in HEAD_GROUPS)
+            arrays = {name: data[name] for name in data.files if name not in missing}
+        arrays.update({name: head.heatmap for name in names})
+        np.savez(fixture, **arrays)
+        out = tmp_path / "dets.csv"
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene),
+                     "--checkpoint", str(train_ckpt), "--inject-head", str(fixture),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {fixture}: head output has unknown keys {unknown} and missing keys {missing}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["bare-npy", "truncated-npz"])
+    def test_injected_head_that_is_no_whole_npz_exit_one(self, scene, train_ckpt, tmp_path, capsys, kind):
+        fixture = tmp_path / "head.npz"
+        np.savez(fixture, **{name: np.full((width or 3, 8, 8), 0.5) for name, _, width in HEAD_GROUPS})
+        if kind == "bare-npy":
+            np.save(fixture.with_suffix(".npy"), np.full((3, 8, 8), 0.5))
+            fixture = fixture.with_suffix(".npy")
+        else:
+            fixture.write_bytes(fixture.read_bytes()[:200])
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--inject-head", str(fixture), "--out", str(tmp_path / "dets.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(fixture) in err[0], err
+
+    @pytest.mark.parametrize("command", ["detect", "encode", "pillarize", "train-step"])
+    @pytest.mark.parametrize("column,field", [(3, "reflectance"), (4, "timestamp")])
+    def test_point_field_out_of_domain_exit_one_naming_it(self, scene, train_ckpt, tmp_path, capsys, command,
+                                                          column, field):
+        # at 3e38 the desk net's convs overflowed float32 and detect ended in exit 2
+        data = np.fromfile(scene, dtype="<f4").reshape(-1, 5).copy()
+        data[0, column] = 3e38
+        data.tofile(scene)
+        argv = {
+            "detect": ["--checkpoint", str(train_ckpt), "--out", str(tmp_path / "dets.csv")],
+            "encode": [],
+            "pillarize": [],
+            "train-step": ["--boxes", str(scene) + ".boxes.csv"],
+        }[command]
+        assert main([command, "--profile", "desk", "--cloud", str(scene), *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: point record 0 {field} ") and "lies outside" in err[0]
+
     def test_bitwise_deterministic_output(self, scene, train_ckpt, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -412,6 +469,15 @@ class TestInputErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "No such file or directory" in err[0]
+
+    def test_negative_seed_is_a_usage_error_in_every_seeded_command(self, capsys):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        seeded = sorted(name for name, p in sub.choices.items() if any("--seed" in a.option_strings for a in p._actions))
+        assert {"generate", "init", "fuse", "bench", "train-step"} <= set(seeded)
+        for command in seeded:
+            assert main([command, "--seed", "-1"]) == 1, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "--seed" in err[0], (command, err)
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "1", "--cloud", "c.bin", "--checkpoint", "c.json", "--out", "d.csv"],
@@ -598,6 +664,27 @@ def test_bench_times_the_fused_network(monkeypatch):
     monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, times: modes.append(params.mode))
     assert main(["bench", "--profile", "desk", "--sizes", "50", "--repeats", "2"]) == 0
     assert modes == ["fused", "fused"]
+
+
+def test_detect_runs_the_fused_network(scene, train_ckpt, tmp_path, monkeypatch):
+    import pillardet.cli as cli
+
+    modes = []
+    monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, inject_head: modes.append(params.mode) or [])
+    assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                 "--out", str(tmp_path / "dets.csv")]) == 0
+    assert modes == ["fused"]
+
+
+def test_detect_on_a_train_checkpoint_writes_the_bytes_of_its_fused_checkpoint(scene, train_ckpt, tmp_path):
+    fused = tmp_path / "fused.json"
+    assert main(["fuse", str(train_ckpt), str(fused)]) == 0
+    outs = [tmp_path / "train.csv", tmp_path / "fused.csv"]
+    for ckpt, out in zip((train_ckpt, fused), outs):
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+    assert len(read_detections(outs[0])) > 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_readme_file_formats_list_the_csv_headers():

@@ -178,13 +178,13 @@ class TestHeadConv:
         rng = np.random.default_rng(0)
         n_classes, neck = 3, 16
         params = build_head(neck, n_classes, rng)
-        features = rng.normal(size=(1, neck, 6, 5)).astype(np.float32)
+        features = rng.normal(size=(neck, 6, 5)).astype(np.float32)
         out = head_forward(features, params)
         start = 0
         for name, _, width in HEAD_GROUPS:
             width = width or n_classes
             group = ConvParams(params.kernel[start : start + width], params.bias[start : start + width])
-            want = np.asarray(conv2d(features, group), dtype=np.float64)[0]
+            want = np.asarray(conv2d(features, group), dtype=np.float64)
             if name == "heatmap":
                 want = np.clip(1.0 / (1.0 + np.exp(-want)), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
             elif name == "iou":
@@ -195,14 +195,14 @@ class TestHeadConv:
 
     def test_empty_features_give_heatmap_bias(self):
         params = build_head(8, 2, np.random.default_rng(1))
-        out = head_forward(np.zeros((1, 8, 3, 3), dtype=np.float32), params)
+        out = head_forward(np.zeros((8, 3, 3), dtype=np.float32), params)
         np.testing.assert_allclose(out.heatmap, 0.01, rtol=1e-6)
         assert not out.offset.any() and not out.iou.any()
 
     def test_non_finite_features_are_an_internal_fault(self):
         params = build_head(8, 2, np.random.default_rng(2))
-        features = np.zeros((1, 8, 3, 4), dtype=np.float32)
-        features[0, 5, 1, 2] = np.nan
+        features = np.zeros((8, 3, 4), dtype=np.float32)
+        features[5, 1, 2] = np.nan
         with pytest.raises(InvariantViolation, match=r"heatmap channel 0 is non-finite at cell \(row 1, col 2\)"):
             head_forward(features, params)
 
@@ -216,8 +216,8 @@ class TestHeadConv:
         kernel = np.zeros((n_classes + BOX_CHANNELS, neck, 1, 1))
         kernel[0, 0], kernel[1, 0] = 1.0, -1.0
         params = ConvParams(kernel, np.zeros(n_classes + BOX_CHANNELS))
-        features = np.zeros((1, neck, 2, 2), dtype=np.float32)
-        features[0, 0] = [[-5e3, -1e3], [1e3, 5e3]]
+        features = np.zeros((neck, 2, 2), dtype=np.float32)
+        features[0] = [[-5e3, -1e3], [1e3, 5e3]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = head_forward(features, params)

@@ -24,23 +24,22 @@ from pillardet.nn import (
 
 def naive_conv2d(x, p):
     """Reference cross-correlation: six explicit loops."""
-    n, ci, h, w = x.shape
+    ci, h, w = x.shape
     k, pad, s = p.ksize, p.padding, p.stride
     ho = (h + 2 * pad - k) // s + 1
     wo = (w + 2 * pad - k) // s + 1
-    xp = np.zeros((n, ci, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    out = np.zeros((n, p.out_channels, ho, wo), dtype=np.float64)
-    for b in range(n):
-        for o in range(p.out_channels):
-            for i in range(ho):
-                for j in range(wo):
-                    acc = float(p.bias[o])
-                    for c in range(ci):
-                        for u in range(k):
-                            for v in range(k):
-                                acc += float(p.kernel[o, c, u, v]) * float(xp[b, c, i * s + u, j * s + v])
-                    out[b, o, i, j] = acc
+    xp = np.zeros((ci, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp[:, pad : pad + h, pad : pad + w] = x
+    out = np.zeros((p.out_channels, ho, wo), dtype=np.float64)
+    for o in range(p.out_channels):
+        for i in range(ho):
+            for j in range(wo):
+                acc = float(p.bias[o])
+                for c in range(ci):
+                    for u in range(k):
+                        for v in range(k):
+                            acc += float(p.kernel[o, c, u, v]) * float(xp[c, i * s + u, j * s + v])
+                out[o, i, j] = acc
     return out
 
 
@@ -52,21 +51,21 @@ def rel_discrepancy(a, b):
 class TestConv2d:
     def test_1x1_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 3, 5, 5)).astype(np.float32)
+        x = rng.normal(size=(3, 5, 5)).astype(np.float32)
         p = ConvParams(np.eye(3).reshape(3, 3, 1, 1), np.zeros(3))
         np.testing.assert_array_equal(conv2d(x, p), x)
 
     def test_zero_kernel_constant_bias(self):
-        x = np.random.default_rng(1).normal(size=(2, 2, 4, 4)).astype(np.float32)
+        x = np.random.default_rng(1).normal(size=(2, 4, 4)).astype(np.float32)
         p = ConvParams(np.zeros((3, 2, 3, 3)), np.array([1.5, -2.0, 0.25]))
         out = conv2d(x, p)
         for o, b in enumerate([1.5, -2.0, 0.25]):
-            np.testing.assert_array_equal(out[:, o], np.full((2, 4, 4), b, dtype=np.float32))
+            np.testing.assert_array_equal(out[o], np.full((4, 4), b, dtype=np.float32))
 
     @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
     def test_matches_naive_loops(self, k, stride):
         rng = np.random.default_rng(2 + k + stride)
-        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        x = rng.normal(size=(3, 8, 8)).astype(np.float32)
         p = ConvParams(rng.normal(size=(4, 3, k, k)) * 0.3, rng.normal(size=4) * 0.1, stride=stride)
         got = conv2d(x, p)
         want = naive_conv2d(x, p)
@@ -76,16 +75,16 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [1, 3])
     def test_stride2_on_odd_input_matches_naive_loops(self, k):
         rng = np.random.default_rng(10 + k)
-        x = rng.normal(size=(2, 3, 7, 9)).astype(np.float32)
+        x = rng.normal(size=(3, 7, 9)).astype(np.float32)
         p = ConvParams(rng.normal(size=(4, 3, k, k)) * 0.3, rng.normal(size=4) * 0.1, stride=2)
         got = conv2d(x, p)
         want = naive_conv2d(x, p)
-        assert got.shape == want.shape == (2, 4, 4, 5)
+        assert got.shape == want.shape == (4, 4, 5)
         assert rel_discrepancy(got, want) < 1e-6
 
     def test_wide_columns_match_naive_loops(self):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(1, 16, 6, 5)).astype(np.float32)  # c_in * 9 = 144 column rows
+        x = rng.normal(size=(16, 6, 5)).astype(np.float32)  # c_in * 9 = 144 column rows
         p = ConvParams(rng.normal(size=(5, 16, 3, 3)) / 12.0, rng.normal(size=5) * 0.1)
         assert rel_discrepancy(conv2d(x, p), naive_conv2d(x, p)) < 1e-6
 
@@ -101,7 +100,7 @@ class TestConv2d:
     )
     def test_row_bands_match_naive_loops(self, monkeypatch, k, stride, h, w, band_rows):
         rng = np.random.default_rng(20 + k + stride + band_rows)
-        x = rng.normal(size=(2, 3, h, w)).astype(np.float32)
+        x = rng.normal(size=(3, h, w)).astype(np.float32)
         p = ConvParams(rng.normal(size=(4, 3, k, k)) * 0.3, rng.normal(size=4) * 0.1, stride=stride)
         wo = (w + 2 * p.padding - k) // stride + 1
         row_bytes = 3 * k * k * wo * 4
@@ -116,7 +115,7 @@ class TestConv2d:
 
     def test_peak_memory_is_input_output_and_one_band(self):
         rng = np.random.default_rng(14)
-        x = rng.normal(size=(1, 64, 96, 96)).astype(np.float32)
+        x = rng.normal(size=(64, 96, 96)).astype(np.float32)
         p = ConvParams(rng.normal(size=(64, 64, 3, 3)) / 24.0, np.zeros(64))
         padded_bytes = 64 * 98 * 98 * 4
         out_bytes = 64 * 96 * 96 * 4
@@ -137,7 +136,7 @@ class TestConv2d:
     @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
     def test_output_is_a_fresh_contiguous_float32_tensor(self, k, stride):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 3, 6, 7)).astype(np.float32)
+        x = rng.normal(size=(3, 6, 7)).astype(np.float32)
         before = x.copy()
         p = ConvParams(rng.normal(size=(3, 3, k, k)), rng.normal(size=3), stride=stride)
         out = conv2d(x, p)
@@ -148,13 +147,13 @@ class TestConv2d:
         np.testing.assert_array_equal(x, before)
 
     def test_output_dims(self):
-        x = np.zeros((1, 1, 7, 9), dtype=np.float32)
-        assert conv2d(x, ConvParams(np.zeros((1, 1, 3, 3)), np.zeros(1), stride=2)).shape == (1, 1, 4, 5)
-        assert conv2d(x, ConvParams(np.zeros((1, 1, 1, 1)), np.zeros(1), stride=2)).shape == (1, 1, 4, 5)
+        x = np.zeros((1, 7, 9), dtype=np.float32)
+        assert conv2d(x, ConvParams(np.zeros((1, 1, 3, 3)), np.zeros(1), stride=2)).shape == (1, 4, 5)
+        assert conv2d(x, ConvParams(np.zeros((1, 1, 1, 1)), np.zeros(1), stride=2)).shape == (1, 4, 5)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValidationError):
-            conv2d(np.zeros((1, 2, 4, 4), dtype=np.float32), ConvParams(np.zeros((1, 3, 3, 3)), np.zeros(1)))
+            conv2d(np.zeros((2, 4, 4), dtype=np.float32), ConvParams(np.zeros((1, 3, 3, 3)), np.zeros(1)))
 
     def test_kernel_size_validation(self):
         with pytest.raises(ValidationError):
@@ -184,7 +183,7 @@ class TestBNFold:
             conv = ConvParams(rng.normal(size=(3, 2, 3, 3)) * 0.5, rng.normal(size=3) * 0.1)
             bn = BNParams(gamma=rng.uniform(0.5, 1.5, 3), beta=rng.normal(size=3),
                           mean=rng.normal(size=3), var=rng.uniform(0.5, 1.5, 3))
-            x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
+            x = rng.normal(size=(2, 6, 6)).astype(np.float32)
             direct = batchnorm(conv2d(x, conv), bn)
             assert np.max(np.abs(direct - conv2d(x, bn_fold(conv, bn)))) < 1e-5
 
@@ -216,7 +215,7 @@ class TestFuseRepBlock:
         rng = np.random.default_rng(10 + ci * co + stride)
         for _ in range(10):
             block = random_rep_block(rng, ci, co, stride)
-            x = rng.normal(size=(1, ci, 8, 8)).astype(np.float32)
+            x = rng.normal(size=(ci, 8, 8)).astype(np.float32)
             train = rep_forward(x, block)
             fused = fused_forward(x, fuse_rep_block(block))
             assert rel_discrepancy(train, fused) < 1e-5
@@ -286,30 +285,30 @@ class TestFuseRepBlock:
 
 class TestPooling:
     def test_maxpool2(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        np.testing.assert_array_equal(maxpool2(x)[0, 0], [[5.0, 7.0], [13.0, 15.0]])
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
+        np.testing.assert_array_equal(maxpool2(x)[0], [[5.0, 7.0], [13.0, 15.0]])
 
     def test_maxpool2_bytes_equal_reshape_max(self):
         rng = np.random.default_rng(14)
         specials = np.array([0.0, -0.0, np.nan, 1.0, 1.0, -2.0], dtype=np.float32)
-        x = np.where(rng.random((2, 5, 10, 14)) < 0.7,
-                     rng.choice(specials, size=(2, 5, 10, 14)),
-                     rng.normal(size=(2, 5, 10, 14))).astype(np.float32)
-        want = x.reshape(2, 5, 5, 2, 7, 2).max(axis=(3, 5))
+        x = np.where(rng.random((10, 10, 14)) < 0.7,
+                     rng.choice(specials, size=(10, 10, 14)),
+                     rng.normal(size=(10, 10, 14))).astype(np.float32)
+        want = x.reshape(10, 5, 2, 7, 2).max(axis=(2, 4))
         got = maxpool2(x)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_maxpool2_odd_rejected(self):
         with pytest.raises(ValidationError):
-            maxpool2(np.zeros((1, 1, 3, 4), dtype=np.float32))
+            maxpool2(np.zeros((1, 3, 4), dtype=np.float32))
 
     def test_upsample_value(self):
-        x = np.array([[[[7.0]]]], dtype=np.float32)
-        np.testing.assert_array_equal(upsample_nearest2(x)[0, 0], np.full((2, 2), 7.0))
+        x = np.array([[[7.0]]], dtype=np.float32)
+        np.testing.assert_array_equal(upsample_nearest2(x)[0], np.full((2, 2), 7.0))
 
     def test_upsample_blocks(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        up = upsample_nearest2(x)[0, 0]
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
+        up = upsample_nearest2(x)[0]
         np.testing.assert_array_equal(up[:2, :2], np.full((2, 2), 1.0))
         np.testing.assert_array_equal(up[2:, 2:], np.full((2, 2), 4.0))

@@ -136,14 +136,14 @@ class TestAugmentPoints:
 class TestScatter:
     def test_empty_input(self):
         canvas = scatter([], GRID, dim=4)
-        assert canvas.data.shape == (1, 4, 8, 8)
+        assert canvas.data.shape == (4, 8, 8)
         assert not canvas.data.any()
 
     def test_single_pillar_placement(self):
         canvas = scatter([(Pillar(2, 1, np.array([0])), np.array([7.0]))], GRID, dim=1)
-        nonzero = np.argwhere(canvas.data[0, 0])
+        nonzero = np.argwhere(canvas.data[0])
         assert nonzero.tolist() == [[1, 2]]
-        assert canvas.data[0, 0, 1, 2] == 7.0
+        assert canvas.data[0, 1, 2] == 7.0
 
     def test_duplicate_cell_rejected(self):
         items = [
@@ -165,7 +165,7 @@ class TestScatter:
         items = [(Pillar(0, 0, np.array([0])), np.zeros(16))]
         with pytest.raises(ValidationError, match="dim=8"):
             scatter(items, GRID, dim=8)
-        assert scatter(items, GRID, dim=16).data.shape == (1, 16, 8, 8)
+        assert scatter(items, GRID, dim=16).data.shape == (16, 8, 8)
 
     def test_conservation(self):
         rng = np.random.default_rng(3)
@@ -179,7 +179,7 @@ class TestScatter:
         occupied = np.zeros((8, 8), dtype=bool)
         for p, _ in items:
             occupied[p.iy, p.ix] = True
-        assert not canvas.data[0][:, ~occupied].any()
+        assert not canvas.data[:, ~occupied].any()
 
     def test_scatter_gather_identity(self):
         rng = np.random.default_rng(4)
@@ -187,7 +187,7 @@ class TestScatter:
         feats = [rng.normal(size=5).astype(np.float32) for _ in pillars]
         canvas = scatter(zip(pillars, feats), GRID, dim=5)
         for p, f in zip(pillars, feats):
-            assert np.array_equal(canvas.data[0, :, p.iy, p.ix], f)
+            assert np.array_equal(canvas.data[:, p.iy, p.ix], f)
 
 
 class TestGridConfig:

@@ -1,17 +1,25 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pillardet.backbone as backbone
+import pillardet.head as head_module
+import pillardet.nn as nn
 import pillardet.pipeline as pipeline
+from pillardet.backbone import BackboneConfig, backbone_forward, count_macs, neck_fuse
 from pillardet.checkpoint import fuse_params, new_params
-from pillardet.head import decode, nms, rectify_detections
+from pillardet.errors import ValidationError
+from pillardet.head import decode, head_forward, nms, rectify_detections
 from pillardet.losses import render_gaussian_targets
+from pillardet.nn import BNParams, batchnorm, conv2d, maxpool2, unit_forward, upsample_nearest2
 from pillardet.pipeline import (
     StageTimes,
     fusion_discrepancy,
     head_output_from_targets,
+    network_forward,
     run_detect,
 )
 from pillardet.pointcloud import PointCloud, SceneSpec, generate_scene
@@ -304,3 +312,68 @@ class TestFusionProbe:
 
         with pytest.raises(ValidationError):
             fusion_discrepancy(fused, fused, 1, 0)
+
+
+class TestDenseLayout:
+    """Every feature map of the dense path is (C, H, W): a caller that still passes a
+    batch axis is rejected by name, so it can never broadcast into a wrong result."""
+
+    @pytest.mark.parametrize("name", [
+        "conv2d", "batchnorm", "maxpool2", "upsample_nearest2", "unit_forward", "backbone_forward", "neck_fuse",
+        "head_forward", "network_forward",
+    ])
+    def test_a_batch_axis_is_rejected_naming_the_shape(self, name):
+        train = new_params(DESK.arch(), mode="random", seed=0)
+        fused = fuse_params(train)
+        ch, d = DESK.stage_channels, DESK.encoder_dim
+        x = np.zeros((1, d, 8, 8), dtype=np.float32)
+        f8, f16 = np.zeros((1, ch[2], 4, 4), dtype=np.float32), np.zeros((1, ch[3], 2, 2), dtype=np.float32)
+        canvas = np.zeros((1, d, DESK.grid.ny, DESK.grid.nx), dtype=np.float32)
+        call = {
+            "conv2d": lambda: conv2d(x, fused.backbone.stem),
+            "batchnorm": lambda: batchnorm(x, BNParams.neutral(d)),
+            "maxpool2": lambda: maxpool2(x),
+            "upsample_nearest2": lambda: upsample_nearest2(x),
+            "unit_forward": lambda: unit_forward(x, train.backbone.stem),
+            "backbone_forward": lambda: backbone_forward(x, fused.backbone),
+            "neck_fuse": lambda: neck_fuse(f8, f16, fused.neck),
+            "head_forward": lambda: head_forward(np.zeros((1, DESK.neck_channels, 4, 4), dtype=np.float32), fused.head),
+            "network_forward": lambda: network_forward(canvas, fused, DESK),
+        }[name]
+        with pytest.raises(ValidationError, match=r"\(c, h, w\) feature map, got shape \(1, \d+, \d+, \d+\)"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["desk", "perfbench/wide_dense_profile.json"])
+def test_analytic_macs_are_the_macs_that_run(monkeypatch, name):
+    """Every conv a fused network_forward runs, tallied as c_out * c_in * k^2 * h_out * w_out, against count_macs
+    at the stage-1 resolution the canvas pool leaves: the compute table is what executes."""
+    profile = load_profile(name if name == "desk" else str(Path(__file__).resolve().parents[1] / name))
+    params = fuse_params(new_params(profile.arch(), mode="random", seed=0))
+    unit_names = {id(unit): name for name, unit in params.backbone.named_units()}
+    macs = {}
+
+    def tally(module):
+        run = module.conv2d
+
+        def counted(x, p):
+            out = run(x, p)
+            name = unit_names.get(id(p), module.__name__)
+            macs[name] = macs.get(name, 0) + out.size * p.in_channels * p.ksize**2
+            return out
+
+        monkeypatch.setattr(module, "conv2d", counted)
+
+    for module in (nn, backbone, head_module):  # the backbone units, the neck convs, the head conv
+        tally(module)
+    canvas = np.zeros((profile.encoder_dim, profile.grid.ny, profile.grid.nx), dtype=np.float32)
+    network_forward(canvas, params, profile)
+    assert set(macs) == set(unit_names.values()) | {"pillardet.backbone", "pillardet.head"}
+
+    r = profile.canvas_reduction
+    report = count_macs(BackboneConfig(profile.stage_blocks, profile.stage_channels, profile.encoder_dim,
+                                       input_hw=(profile.grid.ny // r, profile.grid.nx // r)))
+    assert sum(macs[name] for name in unit_names.values()) == report.total
+    assert [macs[name] for name in ("stem", "t2", "t3", "t4")] == list(report.transition_macs)
+    for i, total in enumerate(report.stage_totals):
+        assert sum(m for name, m in macs.items() if name.startswith(f"s{i + 1}.")) == total

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pillardet.errors import ValidationError
 from pillardet.geometry import Box3D, points_in_box
 from pillardet.pointcloud import (
+    FIELD_BOUND,
     PointCloud,
     Range3D,
     SceneSpec,
@@ -68,6 +70,16 @@ class TestIO:
         p.write_bytes(data.tobytes())
         with pytest.raises(ValidationError, match="record 2"):
             load_cloud(p)
+
+    @pytest.mark.parametrize("column,field", [(3, "reflectance"), (4, "timestamp")])
+    def test_field_beyond_the_bound_rejected_naming_point_and_field(self, column, field):
+        data = np.zeros((3, 5))
+        data[:2, column] = [FIELD_BOUND, -FIELD_BOUND]
+        assert len(PointCloud(data.copy())) == 3  # the bound itself is in the domain
+        for value in (np.nextafter(FIELD_BOUND, np.inf), np.nextafter(-FIELD_BOUND, -np.inf), 3e38):
+            data[2, column] = value
+            with pytest.raises(ValidationError, match=re.escape(f"point record 2 {field} {float(value)!r} lies outside")):
+                PointCloud(data.copy())
 
     def test_metadata_count_mismatch(self, tmp_path):
         p = tmp_path / "cloud.bin"
