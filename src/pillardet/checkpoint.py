@@ -65,12 +65,7 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "ArchConfig":
-        d = dict(d)
-        for key, value in _FIXED_ARCH_KEYS.items():
-            legacy = d.pop(key, value)
-            if legacy != value:
-                raise ValidationError(f"{where} {key} is {legacy!r}, but only {value!r} is supported")
-        check_record(where, d, _ARCH_KEYS)
+        d = check_record(where, d, _ARCH_KEYS, fixed=_FIXED_ARCH_KEYS)
         try:
             return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
         except ValidationError as e:

@@ -17,10 +17,10 @@ import numpy as np
 from . import checkpoint as ckpt
 from .backbone import count_macs, count_params
 from .errors import InvariantViolation, PillarDetError, ValidationError
-from .geometry import Box3D
+from .geometry import Box3D, rotated_iou_bev
 from .head import Detection, decode_cells, load_head_output
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
-from .pillars import assign_pillars, scatter
+from .pillars import pillar_segments, scatter
 from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, run_detect
 from .pointcloud import SceneSpec, crop_to_range, generate_scene, load_cloud, save_cloud
 from .profiles import BUILTIN, flops_config, load_profile
@@ -145,22 +145,21 @@ def cmd_pillarize(args) -> int:
     cloud = load_cloud(args.cloud)
     if args.crop:
         cloud = crop_to_range(cloud, profile.grid.range)
-    pillars = assign_pillars(cloud, profile.grid)
-    counts = np.array([p.count for p in pillars], dtype=np.int64)
-    hist: dict[int, int] = {}
-    for c in counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
+    _, bounds, ix, iy = pillar_segments(cloud, profile.grid)
+    counts = np.diff(bounds)
+    sizes, n_pillars = np.unique(counts, return_counts=True)
     summary = {
         "points": len(cloud),
-        "pillars": len(pillars),
-        "max_points_per_pillar": int(counts.max()) if len(pillars) else 0,
-        "occupancy_histogram": {str(k): v for k, v in sorted(hist.items())},
+        "pillars": len(counts),
+        "max_points_per_pillar": int(counts.max(initial=0)),
+        "occupancy_histogram": {str(k): v for k, v in zip(sizes.tolist(), n_pillars.tolist())},
     }
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     if args.per_pillar:
-        _emit(("ix", "iy", "count"), [(p.ix, p.iy, p.count) for p in pillars], "csv", str(args.out) + ".pillars.csv")
+        rows = list(zip(ix.tolist(), iy.tolist(), counts.tolist()))
+        _emit(("ix", "iy", "count"), rows, "csv", str(args.out) + ".pillars.csv")
     return 0
 
 
@@ -185,13 +184,13 @@ def cmd_fuse(args) -> int:
     params, arch, _ = ckpt.load_checkpoint(args.checkpoint_in)
     fused = ckpt.fuse_params(params)
     worst = fusion_discrepancy(params, fused, args.probes, args.seed)
-    ckpt.save_checkpoint(args.checkpoint_out, fused, arch)
     report = {"probes": args.probes, "max_relative_discrepancy": worst, "bound": FUSION_PROBE_BOUND}
     print(json.dumps(report, sort_keys=True))
-    if worst >= FUSION_PROBE_BOUND:
+    if not worst < FUSION_PROBE_BOUND:  # a fused network that fails its probe is not written
         raise InvariantViolation(
             f"fused network deviates from the three-branch one: {worst:.3e} >= {FUSION_PROBE_BOUND}"
         )
+    ckpt.save_checkpoint(args.checkpoint_out, fused, arch)
     return 0
 
 
@@ -265,10 +264,10 @@ def cmd_train_step(args) -> int:
     cls_loss, _ = focal_loss(out.heatmap, targets.heatmap)
     m = targets.mask
     reg_loss, _ = reg_l1_loss(out.reg[:, m], targets.reg[:, m])
-    iou_loss, _ = iou_branch_loss(out.iou[:, m], targets.iou[:, m])
-    # regression-branch box overlap term, on the decoded center cells
+    # the box each centre cell decodes, against its ground truth: the DIoU term and the quality target
     rows, cols, classes = np.array(targets.centers, dtype=np.intp).reshape(-1, 3).T
     pred = decode_cells(out, profile.grid, profile.out_stride, rows, cols, classes)
+    iou_loss, _ = iou_branch_loss(out.iou[0, rows, cols], [rotated_iou_bev(p, gt) for p, gt in zip(pred, boxes)])
     diou_vals = [diou_loss(p, gt)[0] for p, gt in zip(pred, boxes)]
     diou_val = float(np.mean(diou_vals)) if diou_vals else 0.0
     total = total_loss(cls_loss, iou_loss, diou_val, reg_loss, profile.loss_weights)

@@ -47,10 +47,15 @@ def check_json(what: str, value, *kinds):
     return value
 
 
-def check_record(where: str, record, kinds: dict) -> dict:
-    """``record`` if it is a JSON object (or the arrays of an npz) holding exactly the keys of ``kinds``, each value
-    of the type (or one of the tuple of types) declared there; else a ValidationError naming ``where`` and what is wrong."""
-    check_json(where, record, dict)
+def check_record(where: str, record, kinds: dict, fixed: dict | None = None) -> dict:
+    """A copy of ``record`` if it is a JSON object (or the arrays of an npz) holding exactly the keys of ``kinds``, each
+    value of the type (or one of the tuple of types) declared there; else a ValidationError naming ``where`` and what is
+    wrong. A key of ``fixed``, which older files wrote, may also appear, only at its value there; the copy drops it."""
+    record = dict(check_json(where, record, dict))
+    for key, value in (fixed or {}).items():
+        held = record.pop(key, value)
+        if not _is_json(held, type(value)) or held != value:
+            raise ValidationError(f"{where} {key} is {reprlib.repr(held)}, but only {value!r} is supported")
     unknown, missing = sorted(set(record) - set(kinds)), sorted(set(kinds) - set(record))
     if unknown or missing:
         raise ValidationError(f"{where} has unknown keys {unknown} and missing keys {missing}")

@@ -2,6 +2,12 @@
 L1 regression, the quality-branch L1 with target 2*(I - 0.5), the
 distance-IoU box loss, and the weighted total. Every term returns its value
 together with analytic gradients.
+
+The quality target I at an object's centre cell is the BEV IoU
+(``rotated_iou_bev``) of the box the head decodes there with that object's
+ground-truth box, as in CIA-SSD and AFDetV2, and no gradient flows through it.
+It is the bird's-eye IoU, not the 3D one, because that is the overlap NMS
+ranks by and the Monte-Carlo oracle checks.
 """
 
 from __future__ import annotations
@@ -35,13 +41,13 @@ class Targets:
 
     heatmap holds one exact 1.0 peak per object in its class channel (max
     composition on overlap); reg carries the 8 regression channels at center
-    cells flagged by mask; iou holds the remapped quality target.
+    cells flagged by mask. The quality target depends on the decoded boxes,
+    so it is computed next to them, not here.
     """
 
     heatmap: np.ndarray  # (classes, h, w)
     reg: np.ndarray  # (8, h, w)
     mask: np.ndarray  # (h, w) bool
-    iou: np.ndarray  # (1, h, w)
     centers: tuple  # ((row, col, class_id), ...) per input box
 
 
@@ -106,7 +112,6 @@ def render_gaussian_targets(
     heatmap = np.zeros((n_classes, h, w))
     reg = np.zeros((REG_CHANNELS, h, w))
     mask = np.zeros((h, w), dtype=bool)
-    iou = np.zeros((1, h, w))
     centers = []
     for i, b in enumerate(boxes):
         if not 0 <= b.class_id < n_classes:
@@ -129,9 +134,8 @@ def render_gaussian_targets(
         reg[6, row, col] = math.sin(b.yaw)
         reg[7, row, col] = math.cos(b.yaw)
         mask[row, col] = True
-        iou[0, row, col] = 1.0
         centers.append((row, col, b.class_id))
-    return Targets(heatmap=heatmap, reg=reg, mask=mask, iou=iou, centers=tuple(centers))
+    return Targets(heatmap=heatmap, reg=reg, mask=mask, centers=tuple(centers))
 
 
 # focal exponents: FOCAL_ALPHA on the prediction, FOCAL_BETA on the negative penalty

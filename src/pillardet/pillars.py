@@ -30,7 +30,7 @@ class GridConfig:
         if not (self.pillar_x > 0.0 and self.pillar_y > 0.0):
             raise ValidationError("pillar sizes must be positive")
         r = self.range
-        # assign_pillars sorts the int64 cell keys iy * nx + ix, the largest of which is nx * ny - 1
+        # pillar_segments sorts the int64 cell keys iy * nx + ix, the largest of which is nx * ny - 1
         cells_per_axis = ((r.x_max - r.x_min) / self.pillar_x, (r.y_max - r.y_min) / self.pillar_y)
         if not all(map(math.isfinite, cells_per_axis)) or self.nx * self.ny >= 2**63:
             raise ValidationError(
@@ -79,14 +79,13 @@ class Pillar:
         return int(self.point_indices.size)
 
 
-def assign_pillars(cloud: PointCloud, cfg: GridConfig) -> list[Pillar]:
-    """Group every point into its pillar; result sorted by (iy, ix).
+def pillar_segments(cloud: PointCloud, cfg: GridConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group every point into its pillar in one array pass: ``(order, bounds, ix, iy)``.
 
-    The cloud must already be cropped to cfg.range; an out-of-range point is
-    rejected with its index.
+    Pillar k of P, sorted by (iy, ix), is cell (ix[k], iy[k]) and holds the points
+    ``order[bounds[k]:bounds[k + 1]]`` in ascending index order. The cloud must
+    already be cropped to cfg.range; an out-of-range point is rejected with its index.
     """
-    if len(cloud) == 0:
-        return []
     xyz = cloud.xyz
     in_range = cfg.range.contains_mask(xyz)
     if not in_range.all():
@@ -100,13 +99,14 @@ def assign_pillars(cloud: PointCloud, cfg: GridConfig) -> list[Pillar]:
 
     order = np.lexsort((ix, iy))  # stable, so each pillar's point indices ascend
     key = iy[order] * cfg.nx + ix[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    bounds = np.r_[starts, key.size]
-    pillars = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        members = order[s:e]
-        pillars.append(Pillar(int(ix[members[0]]), int(iy[members[0]]), members))
-    return pillars
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # every key is >= 0, so the first point starts a pillar
+    return order, np.append(starts, key.size), ix[order[starts]], iy[order[starts]]
+
+
+def assign_pillars(cloud: PointCloud, cfg: GridConfig) -> list[Pillar]:
+    """The pillars of ``pillar_segments`` as ``Pillar`` objects, sorted by (iy, ix)."""
+    order, bounds, ix, iy = pillar_segments(cloud, cfg)
+    return [Pillar(x, y, order[s:e]) for x, y, s, e in zip(ix.tolist(), iy.tolist(), bounds[:-1], bounds[1:])]
 
 
 def augment_points(cloud: PointCloud, pillar: Pillar, cfg: GridConfig) -> np.ndarray:

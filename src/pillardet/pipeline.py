@@ -121,10 +121,11 @@ def head_output_from_targets(targets: Targets) -> HeadOutput:
     """Assemble a synthetic head output that decodes back to the target boxes.
 
     The heatmap is clamped into the open interval the head contract requires;
-    quality targets 2*(I - 0.5) pass through as the raw IoU channel.
+    the raw IoU channel reads +1 (IoU 1) at the centre cells and -1 elsewhere.
     """
     heatmap = np.clip(targets.heatmap, HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
-    return HeadOutput(**split_channels(np.concatenate([heatmap, targets.reg, 2.0 * targets.iou - 1.0])))
+    iou = np.where(targets.mask, 1.0, -1.0)[None]
+    return HeadOutput(**split_channels(np.concatenate([heatmap, targets.reg, iou])))
 
 
 # side of the square random canvases the fusion probe runs through the network

@@ -60,10 +60,10 @@ class Range3D:
 
 
 class PointCloud:
-    """Ordered point set backed by an immutable (N, 5) float64 array."""
+    """Ordered point set backed by an immutable (N, 5) float64 array of its own."""
 
     def __init__(self, data: np.ndarray):
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        data = np.array(data, dtype=np.float64, order="C")  # a copy, so the caller's array stays theirs
         if data.size == 0:
             data = data.reshape(0, RECORD_FIELDS)
         if data.ndim != 2 or data.shape[1] != RECORD_FIELDS:
@@ -112,7 +112,7 @@ def load_cloud(path) -> PointCloud:
         raise ValidationError(
             f"{path}: byte length {len(raw)} is not a multiple of the {RECORD_BYTES}-byte record size"
         )
-    data = np.frombuffer(raw, dtype=_DTYPE).reshape(-1, RECORD_FIELDS).astype(np.float64)
+    data = np.frombuffer(raw, dtype=_DTYPE).reshape(-1, RECORD_FIELDS)  # PointCloud converts it to float64
     mp = meta_path(path)
     if mp.exists():
         meta = read_json(mp, "cloud metadata")

@@ -4,7 +4,7 @@
 pillar sizes, NMS policy, rectification exponents, loss weights). ``desk`` is
 a small grid for fast end-to-end runs and tests. Profiles can also be read
 from a JSON file with exactly the keys below; unknown, missing and repeated keys
-are rejected.
+are rejected, but for the ``canvas_reduction`` older files carry, accepted as 2.
 
 The MAC/params analyzer additionally has an accounting profile: the compute
 table is reproduced at a stage-1 resolution of 720x720 with a 64-wide stem
@@ -35,7 +35,6 @@ class Profile:
     stage_blocks: tuple[int, int, int, int]
     stage_channels: tuple[int, int, int, int]
     neck_channels: int
-    canvas_reduction: int
     score_thresh: float
     max_detections: int
     nms_iou: tuple[float, ...] | float
@@ -43,10 +42,11 @@ class Profile:
     rectify_alpha: tuple[float, ...] | float
     loss_weights: LossWeights
 
+    # the scattered canvas is always max-pooled 2x to the backbone's stage-1 resolution
+    canvas_reduction = 2
+
     def __post_init__(self):
         self.arch()  # the network shape is checked when the profile is built
-        if self.canvas_reduction not in (1, 2):
-            raise ValidationError("canvas_reduction must be 1 or 2")
         # the canvas pool halves the grid exactly, and the neck upsamples the 16x map 2x onto the 8x map
         grid, head = (self.grid.ny, self.grid.nx), head_map_hw(self.grid, self.out_stride)
         if any(n % self.canvas_reduction for n in grid) or any(n % 2 for n in head):
@@ -89,7 +89,6 @@ WAYMO = Profile(
     stage_blocks=(6, 6, 3, 1),
     stage_channels=DEFAULT_CHANNELS,
     neck_channels=128,
-    canvas_reduction=2,
     score_thresh=0.1,
     max_detections=200,
     nms_iou=(0.8, 0.55, 0.55),
@@ -106,7 +105,6 @@ NUSCENES = Profile(
     stage_blocks=(6, 6, 3, 1),
     stage_channels=DEFAULT_CHANNELS,
     neck_channels=128,
-    canvas_reduction=2,
     score_thresh=0.2,
     max_detections=200,
     nms_iou=0.2,
@@ -123,7 +121,6 @@ DESK = Profile(
     stage_blocks=(1, 1, 1, 1),
     stage_channels=(8, 16, 32, 64),
     neck_channels=16,
-    canvas_reduction=2,
     score_thresh=0.3,
     max_detections=50,
     nms_iou=(0.5, 0.5, 0.5),
@@ -159,7 +156,6 @@ _PROFILE_KEYS = {
     "stage_blocks": list[int],
     "stage_channels": list[int],
     "neck_channels": int,
-    "canvas_reduction": int,
     "score_thresh": float,
     "max_detections": int,
     "nms_iou": (float, list[float]),
@@ -170,7 +166,8 @@ _PROFILE_KEYS = {
 
 
 def profile_from_dict(d: dict) -> Profile:
-    check_record("profile", d, _PROFILE_KEYS)
+    # older profile files carry the canvas reduction, which may only be the one the network runs
+    d = check_record("profile", d, _PROFILE_KEYS, fixed={"canvas_reduction": Profile.canvas_reduction})
     for key, n in (("pillar_size", 2), ("loss_weights", 3)):
         if len(d[key]) != n:
             raise ValidationError(f"profile key {key!r} must hold {n} numbers, got {d[key]!r}")
@@ -183,7 +180,6 @@ def profile_from_dict(d: dict) -> Profile:
         stage_blocks=tuple(d["stage_blocks"]),
         stage_channels=tuple(d["stage_channels"]),
         neck_channels=d["neck_channels"],
-        canvas_reduction=d["canvas_reduction"],
         score_thresh=float(d["score_thresh"]),
         max_detections=d["max_detections"],
         nms_iou=float(nms_iou) if isinstance(nms_iou, (int, float)) else tuple(float(v) for v in nms_iou),

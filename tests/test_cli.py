@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pillardet.cli import BOX_FIELDS, DETECTION_FIELDS, build_parser, main, read_boxes, read_detections, write_boxes
-from pillardet.geometry import Box3D
+from pillardet.geometry import Box3D, rotated_iou_bev
 from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, save_head_output
 from pillardet.losses import render_gaussian_targets
 from pillardet.pillars import assign_pillars
@@ -153,6 +153,17 @@ class TestFuse:
         monkeypatch.setattr(backbone, "fuse_rep_block", lambda unit: fused.append(id(unit)) or fuse(unit))
         assert main(["fuse", str(train_ckpt), str(tmp_path / "fused.json")]) == 0
         assert fused and len(fused) == len(set(fused))
+
+    @pytest.mark.parametrize("worst", [1.0, float("nan")])
+    def test_failed_probe_reports_and_writes_no_checkpoint(self, train_ckpt, tmp_path, capsys, monkeypatch, worst):
+        monkeypatch.setattr("pillardet.cli.fusion_discrepancy", lambda *args: worst)
+        out = tmp_path / "f.json"
+        capsys.readouterr()
+        assert main(["fuse", str(train_ckpt), str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert json.loads(stdout)["max_relative_discrepancy"] == worst or math.isnan(worst)
+        assert len(err.splitlines()) == 1 and err.startswith("invariant violation: ")
+        assert sorted(tmp_path.iterdir()) == [train_ckpt.with_suffix(".bin"), train_ckpt]
 
     def test_fused_input_rejected(self, train_ckpt, tmp_path):
         fused = tmp_path / "fused.json"
@@ -345,6 +356,28 @@ class TestLegacyFiles:
         assert main(argv) == 0
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_profile_with_or_without_the_fixed_canvas_reduction_pillarizes_the_same(self, scene, tmp_path, capsys,
+                                                                                     kept):
+        profile = dict(DESK_PROFILE_JSON) if kept else {k: v for k, v in DESK_PROFILE_JSON.items()
+                                                         if k != "canvas_reduction"}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(profile))
+        capsys.readouterr()
+        assert main(["pillarize", "--profile", "desk", "--cloud", str(scene)]) == 0
+        builtin = capsys.readouterr().out
+        assert main(["pillarize", "--profile", str(p), "--cloud", str(scene)]) == 0
+        assert capsys.readouterr().out == builtin
+
+    @pytest.mark.parametrize("value", [1, 4, 2.0, "2", True, None])
+    def test_profile_canvas_reduction_other_than_two_exit_one_naming_it(self, scene, tmp_path, capsys, value):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(dict(DESK_PROFILE_JSON, canvas_reduction=value)))
+        capsys.readouterr()
+        assert main(["pillarize", "--profile", str(p), "--cloud", str(scene)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "canvas_reduction" in err[0]
+
 
 class TestExtremeHeadOutput:
     """Injected head values no trained network gives: log-sizes far outside the band
@@ -413,6 +446,42 @@ class TestTrainStep:
             assert key in breakdown
         assert breakdown["total"] >= 0.0
         assert breakdown["weights"] == [1.0, 1.0, 0.25]
+
+    # three desk boxes in three different head cells; rotated_iou_bev of the second with itself is not 1.0
+    QUALITY_BOXES = [Box3D(-3.1, 2.2, 0.1, 1.9, 1.1, 1.2, 0.7, 0), Box3D(2.5, -1.3, -0.2, 2.2, 0.9, 1.0, -1.2, 1),
+                     Box3D(0.3, 3.9, 0.0, 1.4, 1.3, 1.5, 2.9, 2)]
+
+    def _iou_branch(self, scene, tmp_path, capsys, monkeypatch, head) -> float:
+        """train-step's iou_branch on QUALITY_BOXES, with ``head`` as the network's output."""
+        boxes = tmp_path / "quality.csv"
+        write_boxes(self.QUALITY_BOXES, boxes)
+        monkeypatch.setattr("pillardet.cli.network_forward", lambda *args: head)
+        capsys.readouterr()
+        assert main(["train-step", "--profile", "desk", "--cloud", str(scene), "--boxes", str(boxes)]) == 0
+        return json.loads(capsys.readouterr().out)["iou_branch"]
+
+    def test_quality_target_of_a_box_decoded_at_its_ground_truth_is_its_iou_with_itself(
+            self, scene, tmp_path, capsys, monkeypatch):
+        targets = render_gaussian_targets(self.QUALITY_BOXES, DESK.grid, DESK.out_stride, DESK.n_classes)
+        monkeypatch.setattr("pillardet.cli.decode_cells", lambda *args: self.QUALITY_BOXES)
+        ious = np.array([rotated_iou_bev(b, b) for b in self.QUALITY_BOXES])
+        assert (ious != 1.0).any() and np.all(np.abs(ious - 1.0) < 1e-12)  # within rounding of 1, not always 1.0
+        # the rendered head's IoU channel reads +1 at every centre cell
+        iou_branch = self._iou_branch(scene, tmp_path, capsys, monkeypatch, head_output_from_targets(targets))
+        assert iou_branch == np.abs(1.0 - (2.0 * ious - 1.0)).mean()
+
+    def test_quality_target_of_a_shifted_box_is_the_shifted_box_iou(self, scene, tmp_path, capsys, monkeypatch):
+        shift = (0.25, -0.125)  # head cells, in x and y
+        targets = render_gaussian_targets(self.QUALITY_BOXES, DESK.grid, DESK.out_stride, DESK.n_classes)
+        head = head_output_from_targets(targets)
+        head.offset[:, targets.mask] += np.array(shift)[:, None]
+        cell = (DESK.out_stride * DESK.grid.pillar_x, DESK.out_stride * DESK.grid.pillar_y)
+        ious = np.array([rotated_iou_bev(dataclasses.replace(b, cx=b.cx + shift[0] * cell[0],
+                                                             cy=b.cy + shift[1] * cell[1]), b)
+                         for b in self.QUALITY_BOXES])
+        assert np.all(ious < 0.9)
+        iou_branch = self._iou_branch(scene, tmp_path, capsys, monkeypatch, head)
+        assert iou_branch == pytest.approx(np.abs(1.0 - (2.0 * ious - 1.0)).mean(), rel=1e-12)
 
     @pytest.mark.parametrize("size", [1e6, 1e30, 1e200])
     def test_huge_box_gives_losses_or_one_error_line(self, scene, tmp_path, capsys, size):

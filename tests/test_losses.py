@@ -58,7 +58,6 @@ class TestTargets:
         assert t.reg[2, row, col] == pytest.approx(0.3)
         np.testing.assert_allclose(t.reg[3:6, row, col], np.log([3.0, 1.5, 1.2]))
         assert t.reg[6, row, col] == pytest.approx(math.sin(0.4))
-        assert t.iou[0, row, col] == 1.0
 
     def test_center_outside_grid_rejected(self):
         with pytest.raises(ValidationError, match="outside"):

@@ -170,6 +170,16 @@ class TestSceneGen:
 
 
 class TestTypes:
+    @pytest.mark.parametrize("make", [lambda a: a, lambda a: a[1:], lambda a: a.astype(np.float32)])
+    def test_cloud_owns_its_array(self, make):
+        a = np.arange(15.0).reshape(3, 5)
+        source = make(a)
+        cloud = PointCloud(source)
+        source[0, 0] = 99.0  # the caller's array stays writable
+        a[-1, -1] = -1.0
+        np.testing.assert_array_equal(cloud.data, make(np.arange(15.0).reshape(3, 5)))
+        assert not cloud.data.flags.writeable
+
     def test_range_requires_order(self):
         with pytest.raises(ValidationError):
             Range3D(1.0, -1.0, 0.0, 1.0, 0.0, 1.0)
