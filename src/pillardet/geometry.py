@@ -40,12 +40,14 @@ class Box3D:
     class_id: int = 0
 
     def __post_init__(self):
-        vals = (self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw)
-        if not all(map(math.isfinite, vals)):
+        cx, cy, cz, l, w, h, yaw = vals = (self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw)
+        inf = math.inf  # chained comparisons: NaN fails each one, and they cost less than map(math.isfinite)
+        if not (-inf < cx < inf and -inf < cy < inf and -inf < cz < inf and -inf < l < inf
+                and -inf < w < inf and -inf < h < inf and -inf < yaw < inf):
             raise ValidationError(f"box has non-finite fields: {vals}")
-        if self.l <= 0 or self.w <= 0 or self.h <= 0:
+        if l <= 0 or w <= 0 or h <= 0:
             raise ValidationError(f"box sizes must be positive, got l={self.l} w={self.w} h={self.h}")
-        object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
+        object.__setattr__(self, "yaw", normalize_yaw(yaw))
 
     def bev_area(self) -> float:
         return self.l * self.w
@@ -114,43 +116,46 @@ def _polygon_area(pts) -> float:
     return 0.5 * total
 
 
-def _clip_tracked(poly, clip):
-    """Clip a list of ((x, y), jacobian-or-None) vertices by each edge of a CCW
-    list of (x, y) clip vertices.
+def _clip_tracked(poly, clip, jacs=None):
+    """Clip a list of (x, y) vertices by each edge of a CCW list of (x, y) clip
+    vertices; returns the clipped vertices and, when ``jacs`` is given, their jacobians.
 
-    Jacobians are 2x5 derivatives of the vertex position w.r.t. the subject
-    box parameters (cx, cy, l, w, yaw), given for every vertex or for none;
-    intersection vertices get the exact chain-rule jacobian of the crossing point.
+    ``jacs`` holds one 2x5 derivative per vertex, of its position w.r.t. the
+    subject box parameters (cx, cy, l, w, yaw); intersection vertices get the
+    exact chain-rule jacobian of the crossing point.
     """
     n_clip = len(clip)
     for e in range(n_clip):
         ax, ay = clip[e]
         bx, by = clip[(e + 1) % n_clip]
         ex, ey = bx - ax, by - ay
-        sides = [ex * (y - ay) - ey * (x - ax) for (x, y), _ in poly]
+        sides = [ex * (y - ay) - ey * (x - ax) for x, y in poly]
         out = []
+        out_jacs = None if jacs is None else []
         n = len(poly)
         for i in range(n):
             sp = sides[i]
             if sp >= 0.0:
                 out.append(poly[i])
+                if jacs is not None:
+                    out_jacs.append(jacs[i])
             sq = sides[(i + 1) % n]
             if (sp >= 0.0) != (sq >= 0.0):
-                (p, jp), (q, jq) = poly[i], poly[(i + 1) % n]
+                p, q = poly[i], poly[(i + 1) % n]
                 denom = sp - sq
                 t = sp / denom
                 dx, dy = q[0] - p[0], q[1] - p[1]
-                jac = None
-                if jp is not None:
+                out.append((p[0] + t * dx, p[1] + t * dy))
+                if jacs is not None:
+                    jp, jq = jacs[i], jacs[(i + 1) % n]
                     side_jp = ex * jp[1] - ey * jp[0]
                     side_jq = ex * jq[1] - ey * jq[0]
                     dt = (-sq * side_jp + sp * side_jq) / (denom * denom)
-                    jac = jp + t * (jq - jp) + np.outer((dx, dy), dt)
-                out.append(((p[0] + t * dx, p[1] + t * dy), jac))
+                    out_jacs.append(jp + t * (jq - jp) + np.outer((dx, dy), dt))
         if not out:
-            return []
-        poly = out
-    return poly
+            return [], out_jacs
+        poly, jacs = out, out_jacs
+    return poly, jacs
 
 
 def _check_boxes(a: Box3D, b: Box3D):
@@ -165,18 +170,18 @@ def _check_boxes(a: Box3D, b: Box3D):
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     """Exact BEV IoU of two oriented boxes via convex polygon intersection."""
     _check_boxes(a, b)
-    inter = _polygon_area([p for p, _ in _clip_tracked([(p, None) for p in _corners(a)], _corners(b))])
+    inter = _polygon_area(_clip_tracked(_corners(a), _corners(b))[0])
     union = a.bev_area() + b.bev_area() - inter
     if not math.isfinite(union):  # also catches a non-finite intersection
         raise ValidationError(f"IoU of {a} and {b} overflows: intersection {inter!r}, union {union!r}")
     return float(min(max(inter / union, 0.0), 1.0))
 
 
-def _corners_with_jac(box: Box3D):
-    """BEV corners plus 2x5 jacobians w.r.t. (cx, cy, l, w, yaw)."""
+def _corner_jacs(box: Box3D) -> list[np.ndarray]:
+    """The 2x5 jacobians of the BEV corners w.r.t. (cx, cy, l, w, yaw), in ``_corners`` order."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     out = []
-    for pos, (sx, sy) in zip(_corners(box), _CORNER_SIGNS):
+    for sx, sy in _CORNER_SIGNS:
         dx, dy = sx * box.l / 2.0, sy * box.w / 2.0
         jac = np.zeros((2, 5))
         jac[0, 0] = 1.0
@@ -187,7 +192,7 @@ def _corners_with_jac(box: Box3D):
         jac[1, 3] = c * sy / 2.0
         jac[0, 4] = -s * dx - c * dy
         jac[1, 4] = c * dx - s * dy
-        out.append((pos, jac))
+        out.append(jac)
     return out
 
 
@@ -200,14 +205,14 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     value is returned.
     """
     _check_boxes(pred, gt)
-    poly = _clip_tracked(_corners_with_jac(pred), _corners(gt))
+    poly, jacs = _clip_tracked(_corners(pred), _corners(gt), _corner_jacs(pred))
     inter = 0.0
     d_inter = np.zeros(5)
     if len(poly) >= 3:
         n = len(poly)
         for i in range(n):
-            p, jp = poly[i]
-            q, jq = poly[(i + 1) % n]
+            p, jp = poly[i], jacs[i]
+            q, jq = poly[(i + 1) % n], jacs[(i + 1) % n]
             inter += p[0] * q[1] - q[0] * p[1]
             d_inter += jp[0] * q[1] + p[0] * jq[1] - jq[0] * p[1] - q[0] * jp[1]
         inter *= 0.5
@@ -235,19 +240,16 @@ def diou_penalty_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     d2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
     dd2 = np.array([2.0 * (pred.cx - gt.cx), 2.0 * (pred.cy - gt.cy), 0.0, 0.0, 0.0])
 
-    pred_cs = _corners_with_jac(pred)
-    gt_cs = [(p, np.zeros((2, 5))) for p in _corners(gt)]
-    corners = pred_cs + gt_cs
-    xs = np.array([p[0] for p, _ in corners])
-    ys = np.array([p[1] for p, _ in corners])
+    corners = _corners(pred) + _corners(gt)
+    jacs = _corner_jacs(pred) + [np.zeros((2, 5))] * 4
+    xs = np.array([p[0] for p in corners])
+    ys = np.array([p[1] for p in corners])
     i_xmax, i_xmin = int(np.argmax(xs)), int(np.argmin(xs))
     i_ymax, i_ymin = int(np.argmax(ys)), int(np.argmin(ys))
     ew = xs[i_xmax] - xs[i_xmin]
     eh = ys[i_ymax] - ys[i_ymin]
     c2 = ew * ew + eh * eh
-    dc2 = 2.0 * ew * (corners[i_xmax][1][0] - corners[i_xmin][1][0]) + 2.0 * eh * (
-        corners[i_ymax][1][1] - corners[i_ymin][1][1]
-    )
+    dc2 = 2.0 * ew * (jacs[i_xmax][0] - jacs[i_xmin][0]) + 2.0 * eh * (jacs[i_ymax][1] - jacs[i_ymin][1])
     pen = d2 / c2
     dpen = (dd2 * c2 - d2 * dc2) / (c2 * c2)
     return float(pen), dpen

@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError, check_record
-from .geometry import Box3D, rotated_iou_bev
+from .geometry import Box3D, normalize_yaw, rotated_iou_bev
 from .nn import ConvParams, conv2d
 from .pillars import GridConfig
 
@@ -117,11 +118,24 @@ def head_map_hw(grid: GridConfig, out_stride: int) -> tuple[int, int]:
     return h, w
 
 
-def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thresh: float) -> list[Detection]:
-    """Top-k heatmap peaks above threshold, decoded to world-frame boxes.
+@dataclass(frozen=True)
+class Candidates:
+    """decode's peaks in rank order, as columns: descending score, ties by (row, col, class)."""
 
-    Ties are broken deterministically by (row, col) order. Detections carry
-    final_score = cls_score until rectification is applied.
+    boxes: np.ndarray  # (n, 7) Box3D fields cx, cy, cz, l, w, h, yaw; the yaw already normalized
+    class_ids: np.ndarray  # (n,) ints
+    cls_scores: np.ndarray  # (n,) heatmap peaks
+    iou_scores: np.ndarray  # (n,) the IoU channel remapped to [0, 1]
+
+
+# the candidate table's (cx, cy, l, w, yaw) columns, which NMS reads
+_GEOM_COLUMNS = [0, 1, 3, 4, 6]
+
+
+def decode_candidates(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thresh: float) -> Candidates:
+    """Top-k heatmap peaks above threshold, with the world-frame boxes they decode to.
+
+    Ties are broken deterministically by (row, col) order.
     """
     if k < 1:
         raise ValidationError(f"decode keeps k >= 1 peaks, got k={k}")
@@ -144,45 +158,55 @@ def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thr
     order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
     cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
     iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
-    boxes = decode_cells(out, grid, out_stride, rows, cols, cls_idx)
-    return [Detection(box, s, i, s) for box, s, i in zip(boxes, scores.tolist(), iou_scores.tolist())]
+    return Candidates(_cell_boxes(out, grid, out_stride, rows, cols, cls_idx), cls_idx, scores, iou_scores)
+
+
+def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thresh: float) -> list[Detection]:
+    """``decode_candidates`` as detections; each carries final_score = cls_score until
+    rectification is applied."""
+    c = decode_candidates(out, grid, out_stride, k, score_thresh)
+    columns = (c.boxes.tolist(), c.class_ids.tolist(), c.cls_scores.tolist(), c.iou_scores.tolist())
+    return [Detection(Box3D(*fields, cls), s, i, s) for fields, cls, s, i in zip(*columns)]
 
 
 def decode_cells(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> list[Box3D]:
     """The world-frame boxes the regression channels of head cells (rows[i], cols[i])
     encode, each with class_ids[i]; log-sizes are clamped to ``LOG_SIZE_BAND``."""
+    boxes = _cell_boxes(out, grid, out_stride, rows, cols, class_ids)
+    return [Box3D(*fields, int(k)) for fields, k in zip(boxes.tolist(), class_ids)]
+
+
+def _cell_boxes(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> np.ndarray:
+    """``decode_cells``'s boxes as (n, 7) rows of Box3D fields. A row that is not finite
+    fails with Box3D's error for the first such cell."""
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     cx = grid.range.x_min + (cols + 0.5 + out.offset[0, rows, cols]) * (out_stride * grid.pillar_x)
     cy = grid.range.y_min + (rows + 0.5 + out.offset[1, rows, cols]) * (out_stride * grid.pillar_y)
     sizes = np.exp(np.clip(out.size[:, rows, cols], *LOG_SIZE_BAND))
-    columns = (cx, cy, out.z[0, rows, cols], *sizes, *out.yaw[:, rows, cols])
-    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs; Box3D
-    # normalizes the yaw once, and normalize_yaw is idempotent on atan2 outputs
-    return [
-        Box3D(x, y, z, l, w, h, math.atan2(sin, cos), int(k))
-        for x, y, z, l, w, h, sin, cos, k in zip(*(col.tolist() for col in columns), class_ids)
-    ]
+    sin, cos = out.yaw[:, rows, cols].tolist()
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs. normalize_yaw
+    # is idempotent on atan2 outputs, so a Box3D built from a row keeps its yaw's bits
+    yaw = [normalize_yaw(math.atan2(s, c)) for s, c in zip(sin, cos)]
+    boxes = np.column_stack((cx, cy, out.z[0, rows, cols], *sizes, yaw))
+    finite = np.isfinite(boxes).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        # raises, with the yaw as atan2 returned it
+        Box3D(*boxes[i, :6].tolist(), math.atan2(sin[i], cos[i]), int(class_ids[i]))
+    return boxes
 
 
-def rectify_score(cls_score: float, iou_score: float, alpha: float) -> float:
-    """Blend classification confidence with predicted localization quality."""
-    if not 0.0 < cls_score <= 1.0:
-        raise ValidationError(f"cls_score must be in (0, 1], got {cls_score}")
-    if not 0.0 <= iou_score <= 1.0:
-        raise ValidationError(f"iou_score must be in [0, 1], got {iou_score}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
-    return float(cls_score ** (1.0 - alpha) * iou_score**alpha)
+def _rectify(cls_scores, iou_scores, class_ids, alpha) -> list[float]:
+    """The final scores cls^(1-alpha) * iou^alpha; ``alpha`` is a scalar or a per-class
+    sequence. Python's float ``**``, not np.power: the two differ in the last bit on some inputs."""
+    alphas = [float(alpha)] * len(cls_scores) if np.isscalar(alpha) else [float(alpha[k]) for k in class_ids]
+    return [float(c ** (1.0 - a) * i**a) for c, i, a in zip(cls_scores, iou_scores, alphas)]
 
 
 def rectify_detections(dets: list[Detection], alpha) -> list[Detection]:
     """Apply rectification; ``alpha`` is a scalar or a per-class sequence."""
-    per_class = not np.isscalar(alpha)
-    return [
-        Detection(d.box, d.cls_score, d.iou_score,
-                  rectify_score(d.cls_score, d.iou_score, float(alpha[d.class_id] if per_class else alpha)))
-        for d in dets
-    ]
+    final = _rectify([d.cls_score for d in dets], [d.iou_score for d in dets], [d.class_id for d in dets], alpha)
+    return [Detection(d.box, d.cls_score, d.iou_score, f) for d, f in zip(dets, final)]
 
 
 def _apart(geom: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -221,31 +245,76 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     of any other pair leaves no polygon, so its IoU is exactly 0 and exceeds no
     threshold.
     """
+    geom = np.array([(d.box.cx, d.box.cy, d.box.l, d.box.w, d.box.yaw) for d in dets]).reshape(-1, 5)
+    classes = np.array([d.class_id for d in dets], dtype=np.intp)
+    keep = _greedy_nms(geom, classes, [d.final_score for d in dets], iou_thresh, class_agnostic, lambda i: dets[i].box)
+    return [dets[i] for i in keep]
+
+
+def _greedy_nms(geom, classes, scores, iou_thresh, class_agnostic, box) -> list[int]:
+    """``nms`` on columns: the ascending indices of the kept rows of ``geom`` (cx, cy, l, w, yaw).
+
+    ``box(i)`` is row i's Box3D; it is asked for only the rows whose IoU is evaluated.
+    """
     thresh = np.asarray(iou_thresh, dtype=np.float64)
     if not np.all((thresh >= 0.0) & (thresh <= 1.0)):
         raise ValidationError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].final_score, i))
-    boxes = [dets[i].box for i in order]
-    classes = [dets[i].class_id for i in order]
-    geom = np.array([(b.cx, b.cy, b.l, b.w, b.yaw) for b in boxes]).reshape(-1, 5)
-    cx, cy, l, w, _ = geom.T
-    radius = np.hypot(l, w) / 2.0
-    # squared distances, as an n x n hypot costs more than the IoUs; the slack keeps
-    # touching circles in the mask whatever the rounding
-    reach = np.add.outer(radius, radius) * (1.0 + 1e-9)
-    can_overlap = np.subtract.outer(cx, cx) ** 2 + np.subtract.outer(cy, cy) ** 2 <= reach * reach
-    if not class_agnostic:
-        can_overlap &= np.equal.outer(classes, classes)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    geom, classes = geom[order], classes[order]
     # pairs (p, q) with q ranked above p, row-major: every pair of q comes before any of p,
     # so q's fate is settled when p meets it
-    later, earlier = divmod(np.flatnonzero(np.tril(can_overlap, -1)), len(boxes))
+    later, earlier = _overlap_pairs(geom, None if class_agnostic else classes)
     meet = ~_apart(geom, later, earlier)
-    limits = [float(thresh)] * len(boxes) if thresh.ndim == 0 else thresh[classes].tolist()
-    kept = [True] * len(boxes)
+    limits = [float(thresh)] * len(order) if thresh.ndim == 0 else thresh[classes].tolist()
+    rank = order.tolist()
+    kept = [True] * len(rank)
     for p, q in zip(later[meet].tolist(), earlier[meet].tolist()):
-        if kept[p] and kept[q] and rotated_iou_bev(boxes[q], boxes[p]) > limits[p]:
+        if kept[p] and kept[q] and rotated_iou_bev(box(rank[q]), box(rank[p])) > limits[p]:
             kept[p] = False
-    return [dets[i] for i in sorted(compress(order, kept))]
+    return sorted(compress(rank, kept))
+
+
+def _overlap_pairs(geom: np.ndarray, classes: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, q), q < p, of rows of ``geom`` (cx, cy, l, w, yaw) whose circumscribed
+    circles touch, and whose classes match when ``classes`` is given; ordered by p, then q.
+
+    A sort-and-sweep along x lists the pairs within reach in x, and the circle test on
+    those is the float expression of the full n x n grid, so it keeps the same pairs.
+    """
+    n = len(geom)
+    cx, cy, l, w, _ = geom.T
+    radius = np.hypot(l, w) / 2.0
+    by_x = np.argsort(cx, kind="stable")
+    xs = cx[by_x]
+    # a superset of the circle test's pairs: ample room for its 1e-9 slack and rounding,
+    # and for squared distances that underflow to 0. A gap within the bound stays within
+    # the rounded x + bound, as rounding is monotone and xs are floats
+    bound = (radius[by_x] + radius.max(initial=0.0)) * (1.0 + 1e-6) + 1e-150
+    counts = np.searchsorted(xs, xs + bound, side="right") - np.arange(1, n + 1)
+    # each row i of the sweep meets the rows i + 1 .. i + counts[i] after it in x order
+    first = np.repeat(np.arange(n), counts)
+    second = np.arange(len(first)) + np.repeat(np.arange(1, n + 1) - (np.cumsum(counts) - counts), counts)
+    a, b = by_x[first], by_x[second]
+    later, earlier = np.maximum(a, b), np.minimum(a, b)
+    # squared distances; the slack keeps touching circles in whatever the rounding
+    reach = (radius[later] + radius[earlier]) * (1.0 + 1e-9)
+    near = (cx[later] - cx[earlier]) ** 2 + (cy[later] - cy[earlier]) ** 2 <= reach * reach
+    if classes is not None:
+        near &= classes[later] == classes[earlier]
+    later, earlier = later[near], earlier[near]
+    row_major = np.argsort(later * n + earlier)
+    return later[row_major], earlier[row_major]
+
+
+def select_detections(cands: Candidates, alpha, iou_thresh, class_agnostic: bool) -> list[Detection]:
+    """rectify -> NMS on the candidate table: ``nms(rectify_detections(decode(...)))`` with a
+    Box3D built only for a box NMS clips or keeps, and a Detection only for a kept one."""
+    fields, classes = cands.boxes.tolist(), cands.class_ids.tolist()
+    cls_scores, iou_scores = cands.cls_scores.tolist(), cands.iou_scores.tolist()
+    final = _rectify(cls_scores, iou_scores, classes, alpha)
+    box = cache(lambda i: Box3D(*fields[i], classes[i]))
+    keep = _greedy_nms(cands.boxes[:, _GEOM_COLUMNS], cands.class_ids, final, iou_thresh, class_agnostic, box)
+    return [Detection(box(i), cls_scores[i], iou_scores[i], final[i]) for i in keep]
 
 
 # keeps the classification map near zero on empty input

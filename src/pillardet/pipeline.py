@@ -22,11 +22,10 @@ from .head import (
     HEATMAP_CLAMP,
     Detection,
     HeadOutput,
-    decode,
+    decode_candidates,
     head_forward,
     head_map_hw,
-    nms,
-    rectify_detections,
+    select_detections,
     split_channels,
 )
 from .losses import Targets
@@ -101,7 +100,7 @@ def run_detect(
         head_out = inject_head
 
     t0 = time.perf_counter()
-    dets = decode(
+    cands = decode_candidates(
         head_out,
         profile.grid,
         profile.out_stride,
@@ -111,8 +110,7 @@ def run_detect(
     t.head = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dets = rectify_detections(dets, profile.rectify_alpha)
-    dets = nms(dets, profile.nms_iou, class_agnostic=profile.nms_class_agnostic)
+    dets = select_detections(cands, profile.rectify_alpha, profile.nms_iou, profile.nms_class_agnostic)
     t.post = time.perf_counter() - t0
     return dets
 

@@ -425,6 +425,25 @@ class TestExtremeHeadOutput:
         assert f"head {group} channel 0 is non-finite at cell (row {row}, col {col})" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_offset_to_a_non_finite_centre_exit_one(self, scene, train_ckpt, tmp_path, capsys):
+        # the lowest-scoring peak decodes to x = inf; the op fails whatever NMS would do with it
+        boxes = read_boxes(str(scene) + ".boxes.csv")
+        head = head_output_from_targets(render_gaussian_targets(boxes, DESK.grid, DESK.out_stride, DESK.n_classes))
+        fields = {name: getattr(head, name).copy() for name, _, _ in HEAD_GROUPS}
+        peaks = np.argwhere(fields["heatmap"] > DESK.score_thresh)
+        _, row, col = min(peaks.tolist(), key=lambda c: fields["heatmap"][tuple(c)])
+        fields["offset"][0, row, col] = 1.7e308
+        fixture = tmp_path / "head.npz"
+        np.savez(fixture, **fields)
+        out = tmp_path / "dets.csv"
+        assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--inject-head", str(fixture), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: box has non-finite fields: (inf, "), err
+        assert not out.exists()
+
+
 class TestBench:
     def test_schema(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -99,6 +99,30 @@ def test_iou_with_grad_stays_in_unit_interval():
         assert iou_bev_with_grad(a, b)[0] >= 0.0
 
 
+BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "yaw")
+FINE_BOX = (1.0, -2.0, 0.5, 4.0, 2.0, 1.5, 0.3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", BOX_FIELDS)
+def test_box_with_a_non_finite_field_rejected(field, value):
+    vals = list(FINE_BOX)
+    vals[BOX_FIELDS.index(field)] = value
+    with pytest.raises(ValidationError) as excinfo:
+        Box3D(*vals, class_id=1)
+    assert str(excinfo.value) == f"box has non-finite fields: {tuple(vals)}"
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -5e-324, -3.0, 0])
+@pytest.mark.parametrize("field", ["l", "w", "h"])
+def test_box_with_a_non_positive_size_rejected(field, value):
+    vals = dict(zip(BOX_FIELDS, FINE_BOX))
+    vals[field] = value
+    with pytest.raises(ValidationError) as excinfo:
+        Box3D(**vals)
+    assert str(excinfo.value) == f"box sizes must be positive, got l={vals['l']} w={vals['w']} h={vals['h']}"
+
+
 @pytest.mark.parametrize("l,w", [(1e200, 1e200), (1e300, 1e10)])
 def test_box_with_non_finite_bev_area_rejected(l, w):
     huge = Box3D(0.0, 0.0, 0.0, l, w, 1.0, 0.3)

@@ -19,6 +19,7 @@ from pillardet.head import (
     Detection,
     HeadOutput,
     _apart,
+    _overlap_pairs,
     _sigmoid,
     build_head,
     decode,
@@ -27,11 +28,11 @@ from pillardet.head import (
     head_map_hw,
     nms,
     rectify_detections,
-    rectify_score,
 )
 from pillardet.nn import ConvParams, conv2d
 from pillardet.pillars import GridConfig
 from pillardet.pointcloud import Range3D
+from pillardet.profiles import DESK
 
 GRID = GridConfig(Range3D(-6.4, 6.4, -6.4, 6.4, -2.0, 2.0), 0.2, 0.2)
 STRIDE = 8  # head cells are 1.6 m
@@ -226,6 +227,12 @@ class TestHeadConv:
         np.testing.assert_array_equal(out.heatmap[1], [[hi, hi], [lo, lo]])
 
 
+def rectify_score(cls_score, iou_score, alpha):
+    """The final score rectification gives one detection."""
+    det = Detection(Box3D(0, 0, 0, 1, 1, 1, 0), cls_score, iou_score, cls_score)
+    return rectify_detections([det], alpha)[0].final_score
+
+
 class TestRectify:
     def test_alpha_zero_returns_cls(self):
         assert rectify_score(0.7, 0.2, 0.0) == 0.7
@@ -249,12 +256,17 @@ class TestRectify:
             assert rectify_score(cls_a, iou_a, alpha) <= rectify_score(cls_a, iou_b, alpha) + 1e-12
 
     def test_range_validation(self):
-        with pytest.raises(ValidationError):
-            rectify_score(0.0, 0.5, 0.5)
-        with pytest.raises(ValidationError):
-            rectify_score(0.5, 1.5, 0.5)
-        with pytest.raises(ValidationError):
-            rectify_score(0.5, 0.5, 2.0)
+        # rectification checks nothing per detection: its inputs are held in range where they enter
+        fields = empty_output()
+        fields["heatmap"][0, 0, 0] = 0.0
+        with pytest.raises(ValidationError, match="heatmap values must lie strictly in"):
+            HeadOutput(**fields)
+        fields = empty_output()
+        fields["heatmap"][0, 2, 2] = 0.9
+        fields["iou"][0, 2, 2] = 2.0
+        assert [d.iou_score for d in decode(HeadOutput(**fields), GRID, STRIDE, k=1, score_thresh=0.1)] == [1.0]
+        with pytest.raises(ValidationError, match="rectify_alpha values must lie in"):
+            dataclasses.replace(DESK, rectify_alpha=2.0)
 
     def test_per_class_exponents(self):
         dets = [
@@ -746,6 +758,94 @@ class TestNMSCallSequence:
             calls = count_iou_calls(monkeypatch)
             assert nms(dets, thresh, class_agnostic) == [dets[i] for i in want]
             assert calls == want_calls and calls
+
+
+def grid_pairs(geom, classes):
+    """The pairs of the full n x n circle test, row-major over (later, earlier): the
+    reference for the sweep in ``_overlap_pairs``."""
+    cx, cy, l, w, _ = geom.T
+    radius = np.hypot(l, w) / 2.0
+    reach = np.add.outer(radius, radius) * (1.0 + 1e-9)
+    can_overlap = np.subtract.outer(cx, cx) ** 2 + np.subtract.outer(cy, cy) ** 2 <= reach * reach
+    if classes is not None:
+        can_overlap &= np.equal.outer(classes, classes)
+    return divmod(np.flatnonzero(np.tril(can_overlap, -1)), len(geom))
+
+
+def circles_touch(a, b):
+    """The full circle test on one pair of (cx, cy, l, w, yaw) rows."""
+    return bool(len(grid_pairs(np.array([a, b]), None)[0]))
+
+
+def tiny_boxes_in_a_row(rng, n, x_exponents):
+    """Boxes of 1e-9 to 1e-3 m in a row that starts at |x| = 10^x_exponents[0] to
+    10^x_exponents[1] and runs away from 0, each placed within 2 ulps of x of the last
+    position at which the circle test still keeps it with its neighbour."""
+    away = math.inf if rng.random() < 0.5 else -math.inf
+    x = math.copysign(10.0 ** rng.uniform(*x_exponents), away)
+    rows = [(x, 0.0, *10.0 ** rng.uniform(-9.0, -3.0, 2), 0.0)]
+    for _ in range(n - 1):
+        prev = rows[-1]
+        l, w = 10.0 ** rng.uniform(-9.0, -3.0, 2)
+        x = prev[0] + math.copysign((math.hypot(prev[2], prev[3]) + math.hypot(l, w)) / 2.0 * (1.0 + 1e-9), away)
+        while circles_touch(prev, (x, 0.0, l, w, 0.0)):
+            x = math.nextafter(x, away)
+        while not circles_touch(prev, (x, 0.0, l, w, 0.0)):
+            x = math.nextafter(x, -away)
+        for _ in range(int(rng.integers(0, 3))):
+            x = math.nextafter(x, rng.choice([-math.inf, math.inf]))
+        rows.append((x, 0.0, l, w, rng.uniform(-math.pi, math.pi)))
+    rng.shuffle(rows)
+    return np.array(rows)
+
+
+class TestOverlapPairs:
+    """The sort-and-sweep along x finds exactly the pairs of the full circle test, in its order."""
+
+    def _check(self, geom, classes):
+        for by_class in (None, classes):
+            got, want = _overlap_pairs(geom, by_class), grid_pairs(geom, by_class)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            assert all(g.dtype.kind == "i" for g in got)
+        return len(want[0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_few_boxes(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            geom = np.column_stack([rng.uniform(-3, 3, (n, 2)), rng.uniform(0.5, 4.0, (n, 2)), rng.uniform(-3, 3, n)])
+            self._check(geom, rng.integers(0, 2, n))
+
+    def test_random_layouts(self):
+        rng = np.random.default_rng(31)
+        pairs = 0
+        for _ in range(50):
+            n = int(rng.integers(3, 80))
+            spread = 10.0 ** rng.uniform(0.0, 2.0)
+            geom = np.column_stack([rng.uniform(-spread, spread, (n, 2)), 10.0 ** rng.uniform(-1.0, 1.0, (n, 2)),
+                                    rng.uniform(-math.pi, math.pi, n)])
+            pairs += self._check(geom, rng.integers(0, 3, n))
+        assert pairs > 0
+
+    @pytest.mark.parametrize("n,x_exponents", [(40, (3.0, 6.0)), (3, (3.0, 6.0)), (3, (-6.0, 0.0))])
+    def test_tiny_boxes_at_the_circle_bound(self, n, x_exponents):
+        rng = np.random.default_rng(32)
+        kept = total = 0
+        for _ in range(1200 // n):
+            geom = tiny_boxes_in_a_row(rng, n, x_exponents)
+            kept += self._check(geom, rng.integers(0, 2, len(geom)))
+            total += len(geom) - 1
+        assert 0 < kept < total  # neighbours on both sides of the circle test's bound
+
+    def test_coincident_centres(self):
+        rng = np.random.default_rng(33)
+        for n_sites in (1, 3):
+            sites = rng.uniform(-1e4, 1e4, (n_sites, 2))
+            n = 30
+            geom = np.column_stack([sites[rng.integers(0, n_sites, n)], 10.0 ** rng.uniform(-6.0, 1.0, (n, 2)),
+                                    rng.uniform(-math.pi, math.pi, n)])
+            assert self._check(geom, rng.integers(0, 2, n)) > 0
 
 
 class TestDetectionRecords:

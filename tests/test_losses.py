@@ -262,7 +262,7 @@ def stable_pair(rng, axis_aligned=False, h=1e-4):
 def _clip_signature(pred, gt):
     from pillardet.geometry import _clip_tracked, _corners, bev_corners
 
-    poly = _clip_tracked([(p, None) for p in _corners(pred)], _corners(gt))
+    poly, _ = _clip_tracked(_corners(pred), _corners(gt))
     corners = np.vstack([bev_corners(pred), bev_corners(gt)])
     return (len(poly), int(np.argmax(corners[:, 0])), int(np.argmin(corners[:, 0])),
             int(np.argmax(corners[:, 1])), int(np.argmin(corners[:, 1])))

@@ -12,7 +12,18 @@ import pillardet.pipeline as pipeline
 from pillardet.backbone import BackboneConfig, backbone_forward, count_macs, neck_fuse
 from pillardet.checkpoint import fuse_params, new_params
 from pillardet.errors import ValidationError
-from pillardet.head import decode, head_forward, nms, rectify_detections
+from pillardet.geometry import rotated_iou_bev
+from pillardet.head import (
+    HEAD_GROUPS,
+    HEATMAP_CLAMP,
+    LOG_SIZE_BAND,
+    HeadOutput,
+    decode,
+    head_forward,
+    head_map_hw,
+    nms,
+    rectify_detections,
+)
 from pillardet.losses import render_gaussian_targets
 from pillardet.nn import BNParams, batchnorm, conv2d, maxpool2, unit_forward, upsample_nearest2
 from pillardet.pipeline import (
@@ -297,6 +308,123 @@ class TestDetectPipeline:
         want = decode(head, DESK.grid, DESK.out_stride, k=DESK.max_detections, score_thresh=DESK.score_thresh)
         want = nms(rectify_detections(want, DESK.rectify_alpha), DESK.nms_iou, class_agnostic=DESK.nms_class_agnostic)
         assert dets and dets == want
+
+
+def crowd_head(profile, seed, n_objects):
+    """The head rendered from a seeded scene of ``n_objects`` car-sized boxes, as the
+    crowded-post benchmark renders it."""
+    r = profile.grid.range
+    spec = SceneSpec(range=r, n_objects=n_objects, points_per_object=5, n_background=0, length_range=(2.0, 5.0),
+                     width_range=(1.2, 2.4), height_range=(1.2, min(2.2, (r.z_max - r.z_min) * 0.8)),
+                     n_classes=profile.n_classes)
+    _, boxes = generate_scene(spec, seed)
+    return head_output_from_targets(render_gaussian_targets(boxes, profile.grid, profile.out_stride, profile.n_classes))
+
+
+def noise_head(profile, seed):
+    """A random head with random peaks in a 16 x 16 patch, each box 12-20 m long and
+    about aligned with the x axis on 1.6 m cells, so NMS suppresses some."""
+    rng = np.random.default_rng(seed)
+    n, (h, w) = profile.n_classes, head_map_hw(profile.grid, profile.out_stride)
+    heatmap = np.full((n, h, w), HEATMAP_CLAMP)
+    heatmap[:, 20:36, 30:46] = rng.uniform(HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP, (n, 16, 16))
+    return HeadOutput(
+        heatmap=heatmap, offset=rng.uniform(-0.5, 0.5, (2, h, w)),
+        z=rng.normal(0.0, 1.0, (1, h, w)), size=rng.uniform(2.5, 3.0, (3, h, w)),
+        yaw=np.stack([rng.normal(0.0, 0.1, (h, w)), np.ones((h, w))]),
+        iou=rng.uniform(-1.0, 1.0, (1, h, w)),
+    )
+
+
+def background_head(profile):
+    n, (h, w) = profile.n_classes, head_map_hw(profile.grid, profile.out_stride)
+    fields = {name: np.zeros((width or n, h, w)) for name, _, width in HEAD_GROUPS}
+    fields["heatmap"] += HEATMAP_CLAMP
+    return HeadOutput(**fields)
+
+
+POST_SCENES = {
+    "nuscenes-crowd-1000": lambda: (NUSCENES, crowd_head(NUSCENES, 1000, 150)),
+    "nuscenes-crowd-1001": lambda: (NUSCENES, crowd_head(NUSCENES, 1001, 150)),
+    "waymo-per-class-crowd": lambda: (WAYMO, crowd_head(WAYMO, 7, 150)),
+    "waymo-noise": lambda: (WAYMO, noise_head(WAYMO, 3)),
+    "nuscenes-background": lambda: (NUSCENES, background_head(NUSCENES)),
+}
+
+
+def detection_bits(dets):
+    return [(d.class_id, *(float(v).hex() for v in (*dataclasses.astuple(d.box)[:7], d.cls_score, d.iou_score,
+                                                    d.final_score))) for d in dets]
+
+
+class TestArrayPostProcessing:
+    """``run_detect`` post-processes on arrays and builds a box only for what NMS clips or
+    keeps; the list functions perfbench's tracer calls must give the same bytes from the
+    same ordered IoU calls, which perfbench counts as ``head.nms_pairs``."""
+
+    @pytest.mark.parametrize("class_agnostic", [False, True])
+    @pytest.mark.parametrize("scene", sorted(POST_SCENES))
+    def test_run_detect_equals_the_list_path(self, monkeypatch, scene, class_agnostic):
+        profile, head = POST_SCENES[scene]()
+        profile = dataclasses.replace(profile, nms_class_agnostic=class_agnostic)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return rotated_iou_bev(a, b)
+
+        monkeypatch.setattr(head_module, "rotated_iou_bev", counting)
+        params = new_params(profile.arch(), mode="identity")
+        got = run_detect(PointCloud(np.zeros((0, 5))), params, profile, inject_head=head)
+        got_calls, calls[:] = calls[:], []
+        cands = decode(head, profile.grid, profile.out_stride, k=profile.max_detections,
+                       score_thresh=profile.score_thresh)
+        want = nms(rectify_detections(cands, profile.rectify_alpha), profile.nms_iou, class_agnostic=class_agnostic)
+        assert detection_bits(got) == detection_bits(want)
+        assert got_calls == calls
+        if scene.endswith("background"):
+            assert cands == [] and calls == []
+        else:
+            assert calls and got
+        if scene.endswith("noise"):
+            assert len(want) < len(cands)  # NMS suppresses
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("offset", [1.7e308, -1.7e308])
+    def test_non_finite_candidate_fails_with_the_box_error(self, offset):
+        """A huge offset at the lowest-ranked peak decodes to a non-finite centre: the op
+        fails with Box3D's message for that candidate, whatever NMS would do with it."""
+        profile = NUSCENES
+        head = crowd_head(profile, 1000, 150)
+        fields = {name: getattr(head, name).copy() for name, _, _ in HEAD_GROUPS}
+        cls, row, col = np.unravel_index(np.argmin(np.where(fields["heatmap"] > 0.5, fields["heatmap"], 2.0)),
+                                         fields["heatmap"].shape)
+        fields["offset"][0, row, col] = offset
+        fields["offset"][1, row, col] = 0.25
+        g = profile.grid
+        cx = g.range.x_min + (col + 0.5 + offset) * (profile.out_stride * g.pillar_x)
+        cy = g.range.y_min + (row + 0.5 + 0.25) * (profile.out_stride * g.pillar_y)
+        l, w, h = np.exp(np.clip(fields["size"][:, row, col], *LOG_SIZE_BAND)).tolist()
+        vals = (float(cx), float(cy), float(fields["z"][0, row, col]), l, w, h,
+                math.atan2(fields["yaw"][0, row, col], fields["yaw"][1, row, col]))
+        assert not math.isfinite(vals[0])
+        params = new_params(profile.arch(), mode="identity")
+        with pytest.raises(ValidationError) as excinfo:
+            run_detect(PointCloud(np.zeros((0, 5))), params, profile, inject_head=HeadOutput(**fields))
+        assert str(excinfo.value) == f"box has non-finite fields: {vals}"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_first_non_finite_candidate_in_rank_order_is_named(self):
+        head = crowd_head(NUSCENES, 1001, 150)
+        fields = {name: getattr(head, name).copy() for name, _, _ in HEAD_GROUPS}
+        peaks = sorted(zip(*np.nonzero(fields["heatmap"] > 0.5)), key=lambda c: -fields["heatmap"][c])
+        for (_, row, col), sign in zip((peaks[3], peaks[-1], peaks[1]), (1.0, -1.0, 1.0)):
+            fields["offset"][0, row, col] = sign * 1.7e308
+        _, row, col = peaks[1]
+        params = new_params(NUSCENES.arch(), mode="identity")
+        with pytest.raises(ValidationError, match=r"box has non-finite fields: \(inf, ") as excinfo:
+            run_detect(PointCloud(np.zeros((0, 5))), params, NUSCENES, inject_head=HeadOutput(**fields))
+        assert f"{float(fields['z'][0, row, col])!r}" in str(excinfo.value)
 
 
 class TestFusionProbe:
