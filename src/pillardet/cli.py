@@ -63,12 +63,8 @@ def _read_csv(path, fields: tuple[str, ...], what: str) -> list[list]:
     return rows
 
 
-def _box_row(b: Box3D) -> tuple:
-    return (b.cx, b.cy, b.cz, b.l, b.w, b.h, b.yaw, b.class_id)
-
-
 def write_boxes(boxes: list[Box3D], path) -> None:
-    _emit(BOX_FIELDS, [_box_row(b) for b in boxes], "csv", path)
+    _emit(BOX_FIELDS, boxes, "csv", path)  # a Box3D is a tuple in BOX_FIELDS order
 
 
 def read_boxes(path) -> list[Box3D]:
@@ -76,7 +72,7 @@ def read_boxes(path) -> list[Box3D]:
 
 
 def write_detections(dets: list[Detection], path) -> None:
-    rows = [_box_row(d.box) + (d.cls_score, d.iou_score, d.final_score) for d in dets]
+    rows = [(*d.box, d.cls_score, d.iou_score, d.final_score) for d in dets]
     _emit(DETECTION_FIELDS, rows, "csv", path)
 
 

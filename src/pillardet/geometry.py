@@ -10,7 +10,7 @@ box's (cx, cy, l, w, yaw) so losses can use exact piecewise gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +26,7 @@ def normalize_yaw(yaw: float) -> float:
     return -math.pi if y >= math.pi else y
 
 
-@dataclass(frozen=True, slots=True)
-class Box3D:
-    """Oriented 3D box: center (m), size (m), heading (rad), class id."""
-
+class _Box3DFields(NamedTuple):  # Box3D's fields; boxes are made through Box3D
     cx: float
     cy: float
     cz: float
@@ -39,15 +36,28 @@ class Box3D:
     yaw: float
     class_id: int = 0
 
-    def __post_init__(self):
-        cx, cy, cz, l, w, h, yaw = vals = (self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw)
+
+class Box3D(_Box3DFields):
+    """Oriented 3D box: center (m), size (m), heading (rad), class id.
+
+    An immutable named tuple, checked and its yaw normalized however it is made:
+    construction, ``_make``, ``_replace``, ``copy`` and ``pickle`` all run ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cx, cy, cz, l, w, h, yaw, class_id=0):
         inf = math.inf  # chained comparisons: NaN fails each one, and they cost less than map(math.isfinite)
         if not (-inf < cx < inf and -inf < cy < inf and -inf < cz < inf and -inf < l < inf
                 and -inf < w < inf and -inf < h < inf and -inf < yaw < inf):
-            raise ValidationError(f"box has non-finite fields: {vals}")
+            raise ValidationError(f"box has non-finite fields: {(cx, cy, cz, l, w, h, yaw)}")
         if l <= 0 or w <= 0 or h <= 0:
-            raise ValidationError(f"box sizes must be positive, got l={self.l} w={self.w} h={self.h}")
-        object.__setattr__(self, "yaw", normalize_yaw(yaw))
+            raise ValidationError(f"box sizes must be positive, got l={l} w={w} h={h}")
+        return tuple.__new__(cls, (cx, cy, cz, l, w, h, normalize_yaw(yaw), class_id))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def bev_area(self) -> float:
         return self.l * self.w
@@ -158,20 +168,22 @@ def _clip_tracked(poly, clip, jacs=None):
     return poly, jacs
 
 
-def _check_boxes(a: Box3D, b: Box3D):
-    for name, box in (("first", a), ("second", b)):
-        area = box.bev_area()
+def _check_boxes(a: Box3D, b: Box3D) -> tuple[float, float]:
+    """The BEV areas of ``a`` and ``b``, each checked positive and finite."""
+    areas = a.l * a.w, b.l * b.w
+    for name, box, area in zip(("first", "second"), (a, b), areas):
         if area <= 0.0:
             raise ValidationError("degenerate zero-area box")
         if area == math.inf:
             raise ValidationError(f"{name} box BEV area l*w = {box.l:g}*{box.w:g} is not finite")
+    return areas
 
 
 def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
     """Exact BEV IoU of two oriented boxes via convex polygon intersection."""
-    _check_boxes(a, b)
+    area_a, area_b = _check_boxes(a, b)
     inter = _polygon_area(_clip_tracked(_corners(a), _corners(b))[0])
-    union = a.bev_area() + b.bev_area() - inter
+    union = area_a + area_b - inter
     if not math.isfinite(union):  # also catches a non-finite intersection
         raise ValidationError(f"IoU of {a} and {b} overflows: intersection {inter!r}, union {union!r}")
     return float(min(max(inter / union, 0.0), 1.0))
@@ -204,7 +216,7 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     locally constant (almost everywhere); at configuration changes a one-sided
     value is returned.
     """
-    _check_boxes(pred, gt)
+    area_p, area_gt = _check_boxes(pred, gt)
     poly, jacs = _clip_tracked(_corners(pred), _corners(gt), _corner_jacs(pred))
     inter = 0.0
     d_inter = np.zeros(5)
@@ -217,9 +229,8 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
             d_inter += jp[0] * q[1] + p[0] * jq[1] - jq[0] * p[1] - q[0] * jp[1]
         inter *= 0.5
         d_inter *= 0.5
-    area_p = pred.bev_area()
     d_area_p = np.array([0.0, 0.0, pred.w, pred.l, 0.0])
-    union = area_p + gt.bev_area() - inter
+    union = area_p + area_gt - inter
     iou = inter / union
     d_iou = (d_inter * union - inter * (d_area_p - d_inter)) / (union * union)
     if not (math.isfinite(union) and np.isfinite(d_iou).all()):

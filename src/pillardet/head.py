@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ class HeadOutput:
         return np.concatenate([getattr(self, name) for name, _, _ in HEAD_GROUPS[1:-1]])
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
+class Detection(NamedTuple):
     box: Box3D
     cls_score: float
     iou_score: float
@@ -247,15 +246,13 @@ def nms(dets: list[Detection], iou_thresh, class_agnostic: bool = False) -> list
     """
     geom = np.array([(d.box.cx, d.box.cy, d.box.l, d.box.w, d.box.yaw) for d in dets]).reshape(-1, 5)
     classes = np.array([d.class_id for d in dets], dtype=np.intp)
-    keep = _greedy_nms(geom, classes, [d.final_score for d in dets], iou_thresh, class_agnostic, lambda i: dets[i].box)
+    keep = _greedy_nms(geom, classes, [d.final_score for d in dets], iou_thresh, class_agnostic, [d.box for d in dets])
     return [dets[i] for i in keep]
 
 
-def _greedy_nms(geom, classes, scores, iou_thresh, class_agnostic, box) -> list[int]:
-    """``nms`` on columns: the ascending indices of the kept rows of ``geom`` (cx, cy, l, w, yaw).
-
-    ``box(i)`` is row i's Box3D; it is asked for only the rows whose IoU is evaluated.
-    """
+def _greedy_nms(geom, classes, scores, iou_thresh, class_agnostic, boxes) -> list[int]:
+    """``nms`` on columns: the ascending indices of the kept rows of ``geom`` (cx, cy, l, w, yaw),
+    whose Box3Ds are ``boxes``."""
     thresh = np.asarray(iou_thresh, dtype=np.float64)
     if not np.all((thresh >= 0.0) & (thresh <= 1.0)):
         raise ValidationError(f"NMS IoU threshold must lie in [0, 1], got {iou_thresh}")
@@ -269,7 +266,7 @@ def _greedy_nms(geom, classes, scores, iou_thresh, class_agnostic, box) -> list[
     rank = order.tolist()
     kept = [True] * len(rank)
     for p, q in zip(later[meet].tolist(), earlier[meet].tolist()):
-        if kept[p] and kept[q] and rotated_iou_bev(box(rank[q]), box(rank[p])) > limits[p]:
+        if kept[p] and kept[q] and rotated_iou_bev(boxes[rank[q]], boxes[rank[p]]) > limits[p]:
             kept[p] = False
     return sorted(compress(rank, kept))
 
@@ -307,14 +304,17 @@ def _overlap_pairs(geom: np.ndarray, classes: np.ndarray | None) -> tuple[np.nda
 
 
 def select_detections(cands: Candidates, alpha, iou_thresh, class_agnostic: bool) -> list[Detection]:
-    """rectify -> NMS on the candidate table: ``nms(rectify_detections(decode(...)))`` with a
-    Box3D built only for a box NMS clips or keeps, and a Detection only for a kept one."""
-    fields, classes = cands.boxes.tolist(), cands.class_ids.tolist()
-    cls_scores, iou_scores = cands.cls_scores.tolist(), cands.iou_scores.tolist()
+    """rectify -> NMS on the candidate table: ``nms(rectify_detections(decode(...)))`` with one
+    Box3D per candidate, and a Detection only for a kept one.
+
+    Building every box up front costs no extra work: a candidate NMS does not keep is the
+    second box of the IoU call that suppressed it.
+    """
+    classes, cls_scores, iou_scores = cands.class_ids.tolist(), cands.cls_scores.tolist(), cands.iou_scores.tolist()
+    boxes = [Box3D(*fields, k) for fields, k in zip(cands.boxes.tolist(), classes)]
     final = _rectify(cls_scores, iou_scores, classes, alpha)
-    box = cache(lambda i: Box3D(*fields[i], classes[i]))
-    keep = _greedy_nms(cands.boxes[:, _GEOM_COLUMNS], cands.class_ids, final, iou_thresh, class_agnostic, box)
-    return [Detection(box(i), cls_scores[i], iou_scores[i], final[i]) for i in keep]
+    keep = _greedy_nms(cands.boxes[:, _GEOM_COLUMNS], cands.class_ids, final, iou_thresh, class_agnostic, boxes)
+    return [Detection(boxes[i], cls_scores[i], iou_scores[i], final[i]) for i in keep]
 
 
 # keeps the classification map near zero on empty input

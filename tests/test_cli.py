@@ -495,8 +495,7 @@ class TestTrainStep:
         head = head_output_from_targets(targets)
         head.offset[:, targets.mask] += np.array(shift)[:, None]
         cell = (DESK.out_stride * DESK.grid.pillar_x, DESK.out_stride * DESK.grid.pillar_y)
-        ious = np.array([rotated_iou_bev(dataclasses.replace(b, cx=b.cx + shift[0] * cell[0],
-                                                             cy=b.cy + shift[1] * cell[1]), b)
+        ious = np.array([rotated_iou_bev(b._replace(cx=b.cx + shift[0] * cell[0], cy=b.cy + shift[1] * cell[1]), b)
                          for b in self.QUALITY_BOXES])
         assert np.all(ious < 0.9)
         iou_branch = self._iou_branch(scene, tmp_path, capsys, monkeypatch, head)

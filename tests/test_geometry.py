@@ -6,15 +6,17 @@ the corner arithmetic or the order in which the shoelace terms are summed moves
 them. A change that moves them on purpose states it, with the reason.
 """
 
+import copy
 import hashlib
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from pillardet.errors import ValidationError
-from pillardet.geometry import Box3D, iou_bev_with_grad, rotated_iou_bev
+from pillardet.geometry import Box3D, iou_bev_with_grad, normalize_yaw, rotated_iou_bev
 from pillardet.losses import diou_loss
 
 IOU_DIGEST = "2aeea82bf69ef13a0ed1ead580bd2bf2884a3174285353204f0a221e255027d4"
@@ -121,6 +123,58 @@ def test_box_with_a_non_positive_size_rejected(field, value):
     with pytest.raises(ValidationError) as excinfo:
         Box3D(**vals)
     assert str(excinfo.value) == f"box sizes must be positive, got l={vals['l']} w={vals['w']} h={vals['h']}"
+
+
+def _unchecked(vals):
+    """A Box3D tuple made without ``__new__``, to feed the copy and pickle paths."""
+    return tuple.__new__(Box3D, vals)
+
+
+# every way of making a Box3D, each from the 8 field values in order
+BOX_MAKERS = {
+    "positional": lambda vals: Box3D(*vals),
+    "keyword": lambda vals: Box3D(**dict(zip(Box3D._fields, vals))),
+    "_make": Box3D._make,
+    "_replace": lambda vals: Box3D(*FINE_BOX)._replace(**dict(zip(Box3D._fields, vals))),
+    "copy": lambda vals: copy.copy(_unchecked(vals)),
+    "deepcopy": lambda vals: copy.deepcopy(_unchecked(vals)),
+    "pickle": lambda vals: pickle.loads(pickle.dumps(_unchecked(vals))),
+}
+
+
+@pytest.mark.parametrize("make", sorted(BOX_MAKERS))
+def test_every_way_of_making_a_box_checks_its_fields(make):
+    make = BOX_MAKERS[make]
+    for i in range(7):
+        for value in (math.nan, math.inf, -math.inf):
+            vals = [*FINE_BOX, 1]
+            vals[i] = value
+            with pytest.raises(ValidationError) as excinfo:
+                make(vals)
+            assert str(excinfo.value) == f"box has non-finite fields: {tuple(vals[:7])}"
+    for i in (3, 4, 5):
+        for value in (0.0, -1.0):
+            vals = [*FINE_BOX, 1]
+            vals[i] = value
+            with pytest.raises(ValidationError) as excinfo:
+                make(vals)
+            assert str(excinfo.value) == f"box sizes must be positive, got l={vals[3]} w={vals[4]} h={vals[5]}"
+    box = make([*FINE_BOX[:6], 7.0, 1])
+    assert type(box) is Box3D
+    assert box == (*FINE_BOX[:6], normalize_yaw(7.0), 1) and -math.pi <= box.yaw < math.pi
+    for name in (*Box3D._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(box, name, 1.0)
+
+
+def test_box_repr_and_tuple_behaviour():
+    box = Box3D(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3, 2)
+    # the non-finite-box and IoU-overflow messages embed this text
+    assert repr(box) == "Box3D(cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0, h=1.5, yaw=0.2999999999999998, class_id=2)"
+    assert box == (1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.2999999999999998, 2)
+    cx, cy, cz, l, w, h, yaw, class_id = box
+    assert (l * w, class_id) == (box.bev_area(), 2)
+    assert Box3D(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3).class_id == 0
 
 
 @pytest.mark.parametrize("l,w", [(1e200, 1e200), (1e300, 1e10)])

@@ -390,7 +390,7 @@ def test_rotated_iou_is_a_symmetric_share(a, b):
 
 detections_strategy = st.lists(
     st.builds(
-        lambda box, c, score: Detection(dataclasses.replace(box, class_id=c), score, 0.5, score),
+        lambda box, c, score: Detection(box._replace(class_id=c), score, 0.5, score),
         box_strategy,
         st.integers(0, 2),
         st.floats(0.05, 1.0),
@@ -849,6 +849,16 @@ class TestOverlapPairs:
 
 
 class TestDetectionRecords:
+    def test_repr(self):
+        det = Detection(Box3D(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3, 2), 0.75, 0.5, 0.625)
+        assert repr(det) == (
+            "Detection(box=Box3D(cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0, h=1.5, yaw=0.2999999999999998, class_id=2), "
+            "cls_score=0.75, iou_score=0.5, final_score=0.625)"
+        )
+        assert det.class_id == 2 and det.box.bev_area() == 8.0
+        with pytest.raises(AttributeError):
+            det.final_score = 1.0
+
     def test_roundtrip(self, tmp_path):
         dets = random_detections(np.random.default_rng(9), 5)
         p = tmp_path / "dets.csv"

@@ -353,14 +353,14 @@ POST_SCENES = {
 
 
 def detection_bits(dets):
-    return [(d.class_id, *(float(v).hex() for v in (*dataclasses.astuple(d.box)[:7], d.cls_score, d.iou_score,
-                                                    d.final_score))) for d in dets]
+    return [(d.class_id, *(float(v).hex() for v in (*d.box[:7], d.cls_score, d.iou_score, d.final_score))) for d in dets]
 
 
 class TestArrayPostProcessing:
-    """``run_detect`` post-processes on arrays and builds a box only for what NMS clips or
-    keeps; the list functions perfbench's tracer calls must give the same bytes from the
-    same ordered IoU calls, which perfbench counts as ``head.nms_pairs``."""
+    """``run_detect`` post-processes on arrays and builds one box per candidate and a
+    detection only for what NMS keeps; the list functions perfbench's tracer calls must
+    give the same bytes from the same ordered IoU calls, which perfbench counts as
+    ``head.nms_pairs``."""
 
     @pytest.mark.parametrize("class_agnostic", [False, True])
     @pytest.mark.parametrize("scene", sorted(POST_SCENES))
@@ -388,6 +388,25 @@ class TestArrayPostProcessing:
             assert calls and got
         if scene.endswith("noise"):
             assert len(want) < len(cands)  # NMS suppresses
+
+    @pytest.mark.parametrize("class_agnostic", [False, True])
+    @pytest.mark.parametrize("scene", sorted(s for s in POST_SCENES if not s.endswith("background")))
+    def test_every_candidate_is_kept_or_clipped(self, monkeypatch, scene, class_agnostic):
+        """What makes ``select_detections`` build every candidate's box up front at no extra
+        cost: NMS would build each one anyway, as a kept box or as an IoU call's argument."""
+        profile, head = POST_SCENES[scene]()
+        clipped = []
+
+        def counting(a, b):
+            clipped.extend((id(a), id(b)))
+            return rotated_iou_bev(a, b)
+
+        monkeypatch.setattr(head_module, "rotated_iou_bev", counting)
+        cands = rectify_detections(decode(head, profile.grid, profile.out_stride, k=profile.max_detections,
+                                          score_thresh=profile.score_thresh), profile.rectify_alpha)
+        kept = nms(cands, profile.nms_iou, class_agnostic=class_agnostic)
+        built = {id(d.box) for d in kept} | set(clipped)
+        assert cands and all(id(d.box) in built for d in cands)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("offset", [1.7e308, -1.7e308])
