@@ -20,8 +20,8 @@ from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D, rotated_iou_bev
 from .head import Detection, decode_cells, load_head_output
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
-from .pillars import pillar_segments, scatter
-from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, run_detect
+from .pillars import pillar_segments
+from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, place_pillars, run_detect
 from .pointcloud import SceneSpec, crop_to_range, generate_scene, load_cloud, save_cloud
 from .profiles import BUILTIN, flops_config, load_profile
 
@@ -166,9 +166,11 @@ def cmd_encode(args) -> int:
         params = _load_params(args.checkpoint, profile)
     else:
         params = ckpt.new_params(profile.arch(), mode="identity")
+    ix, iy, counts, feats = encode_pillars(cloud, params, profile)
+    # ints as Python ints, which json-lines can write; one norm per row, as an axis=1 norm sums in another order
     rows = [
-        (p.ix, p.iy, p.count, float(np.linalg.norm(feat)), float(feat.max()))
-        for p, feat in encode_pillars(cloud, params, profile)
+        (x, y, n, float(np.linalg.norm(f)), float(f.max()))
+        for x, y, n, f in zip(ix.tolist(), iy.tolist(), counts.tolist(), feats)
     ]
     _emit(("ix", "iy", "count", "feature_l2", "feature_max"), rows, args.format, args.out)
     return 0
@@ -232,14 +234,11 @@ def cmd_bench(args) -> int:
     for size in args.sizes:
         spec = _scene_spec(profile, n_objects=0, points_per_object=0, n_background=size)
         cloud, _ = generate_scene(spec, args.seed)
-        samples = {k: [] for k in ("encode", "backbone", "head", "post")}
-        for _ in range(args.repeats):
-            times = StageTimes()
+        runs = [StageTimes() for _ in range(args.repeats)]
+        for times in runs:
             run_detect(cloud, params, profile, times=times)
-            for k, v in times.as_dict().items():
-                samples[k].append(v * 1e3)
-        for stage, vals in samples.items():
-            arr = np.array(vals)
+        for stage in ("encode", "backbone", "head", "post"):
+            arr = np.array([getattr(t, stage) for t in runs]) * 1e3
             rows.append((size, stage, float(np.percentile(arr, 50)), float(np.percentile(arr, 90)), float(arr.mean())))
     _emit(("points", "stage", "p50", "p90", "mean"), rows, args.format, args.out)
     return 0
@@ -254,8 +253,8 @@ def cmd_train_step(args) -> int:
     else:
         params = ckpt.new_params(profile.arch(), mode="random", seed=args.seed)
     targets = render_gaussian_targets(boxes, profile.grid, profile.out_stride, profile.n_classes)
-    canvas = scatter(encode_pillars(cloud, params, profile), profile.grid, dim=profile.encoder_dim)
-    out = network_forward(canvas.data, params, profile)
+    ix, iy, _, feats = encode_pillars(cloud, params, profile)
+    out = network_forward(place_pillars(ix, iy, feats, profile.grid), params, profile)
 
     cls_loss, _ = focal_loss(out.heatmap, targets.heatmap)
     m = targets.mask
@@ -350,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-head", default=None, help="npz head-output fixture replacing the network")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("bench", help="per-stage wall-clock percentiles")
+    stages = ("per-stage wall-clock percentiles of detect: encode is crop to canvas, backbone is pool + backbone"
+              " + neck + head conv, head is decode, post is rectify + NMS")
+    p = sub.add_parser("bench", help=stages, description=stages)
     common(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sizes", type=_int_list, default="2000")

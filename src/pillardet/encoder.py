@@ -4,10 +4,11 @@ Each pillar's points are lifted to D dims by an affine map with folded
 normalization statistics and a rectifier, then reduced two ways: a channel
 max, and a per-channel softmax-weighted sum over the points (scores sum to 1
 per channel). The pillar feature is the mean of the two reductions.
-``encode_pillar`` is the one forward and computes each stage once;
-``encoder_backward`` gives exact analytic gradients from that forward's
-intermediates (the lift included), with no affine of its own. Everything is a
-pure function of its inputs, so pillars can be encoded concurrently.
+``encode_pillar`` is the one forward, on a pillar or a stack of pillars with equal
+point counts, and computes each stage once; ``encoder_backward`` gives one pillar's
+exact analytic gradients from that forward's intermediates (the lift included), with
+no affine of its own. Everything is a pure function of its inputs, so pillars can be
+encoded concurrently.
 """
 
 from __future__ import annotations
@@ -84,25 +85,26 @@ class PillarFeature:
 
 
 def encode_pillar(aug: np.ndarray, params: EncoderParams, keep_intermediates: bool = True) -> PillarFeature:
-    """Full pillar encoding of (N_v, AUGMENTED_DIM) points: f = (max-pooled + attention-pooled) / 2.
+    """Full pillar encoding of ([P,] N_v, AUGMENTED_DIM) points: f = (max-pooled + attention-pooled) / 2.
 
     The points are lifted to rectifier(normalize(affine(aug))); f_max is the
     channel max over points, and f_att the sum of points weighted by a
-    per-channel softmax over points of the score-affine logits.
+    per-channel softmax over points of the score-affine logits. A (P, N_v, 11)
+    stack of pillars with equal point counts gives each pillar's own bits.
     """
     aug = np.asarray(aug, dtype=np.float64)
-    if aug.ndim != 2 or aug.shape[1] != AUGMENTED_DIM:
-        raise ValidationError(f"augmented points must be (N, {AUGMENTED_DIM}), got {aug.shape}")
-    if aug.shape[0] < 1:
+    if aug.ndim not in (2, 3) or aug.shape[-1] != AUGMENTED_DIM:
+        raise ValidationError(f"augmented points must be ([P,] N, {AUGMENTED_DIM}), got {aug.shape}")
+    if aug.shape[-2] < 1:
         raise ValidationError("cannot encode an empty pillar")
     norm = params.norm
     z = aug @ params.weight.T + params.bias
     pe = np.maximum((z - norm.mean) * norm.scale + norm.beta, 0.0)
-    f_max = pe.max(axis=0)
+    f_max = pe.max(axis=-2)
     logits = pe @ params.score_weight.T + params.score_bias
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    scores = e / e.sum(axis=0, keepdims=True)
-    f_att = (scores * pe).sum(axis=0)
+    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    scores = e / e.sum(axis=-2, keepdims=True)
+    f_att = (scores * pe).sum(axis=-2)
     f = (f_max + f_att) / 2.0
     if keep_intermediates:
         return PillarFeature(f=f, f_max=f_max, f_att=f_att, scores=scores, encoded=pe, z=z)
@@ -126,9 +128,11 @@ def encoder_backward(aug: np.ndarray, params: EncoderParams, upstream: np.ndarra
     The max branch routes through the first maximizing point per channel; the
     rectifier uses the y > 0 subgradient.
     """
+    aug = np.asarray(aug, dtype=np.float64)
+    if aug.ndim != 2:
+        raise ValidationError(f"encoder_backward takes one pillar's (N, {AUGMENTED_DIM}) points, got {aug.shape}")
     fwd = encode_pillar(aug, params)
     pe, s, f_att, z = fwd.encoded, fwd.scores, fwd.f_att, fwd.z
-    aug = np.asarray(aug, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (params.dim,):
         raise ValidationError(f"upstream gradient must have shape ({params.dim},)")

@@ -2,7 +2,9 @@
 
 Each point maps to exactly one grid cell via floor((x - x_min) / pillar_size)
 on the half-open grid; pillars are full-height columns, never split in z.
-No sampling or per-pillar point cap is applied.
+No sampling or per-pillar point cap is applied. At run time ``pillar_segments``'
+arrays feed ``augment`` with every point at once; ``Pillar``, ``assign_pillars``,
+``augment_points`` and ``scatter`` are one-pillar views of the same steps.
 """
 
 from __future__ import annotations
@@ -47,16 +49,6 @@ class GridConfig:
     @property
     def ny(self) -> int:
         return int(math.ceil((self.range.y_max - self.range.y_min) / self.pillar_y))
-
-    @property
-    def z_center(self) -> float:
-        return 0.5 * (self.range.z_min + self.range.z_max)
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        return (
-            self.range.x_min + (ix + 0.5) * self.pillar_x,
-            self.range.y_min + (iy + 0.5) * self.pillar_y,
-        )
 
 
 @dataclass(frozen=True)
@@ -109,23 +101,26 @@ def assign_pillars(cloud: PointCloud, cfg: GridConfig) -> list[Pillar]:
     return [Pillar(x, y, order[s:e]) for x, y, s, e in zip(ix.tolist(), iy.tolist(), bounds[:-1], bounds[1:])]
 
 
-def augment_points(cloud: PointCloud, pillar: Pillar, cfg: GridConfig) -> np.ndarray:
-    """Per-point 11-d features: raw (x, y, z, r, t), offsets from the pillar
-    cell center (z against the mid-height of the full z extent), and
-    coordinates relative to the range minimum corner. Shape (N_v, 11)."""
-    if pillar.point_indices.max(initial=-1) >= len(cloud) or pillar.point_indices.min(initial=0) < 0:
-        raise ValidationError("pillar indexes points outside the cloud")
-    pts = cloud.data[pillar.point_indices]
-    ccx, ccy = cfg.cell_center(pillar.ix, pillar.iy)
+def augment(pts: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """Per-point 11-d features of (N, 5) points in cell (ix, iy), or with one cell per
+    point: raw (x, y, z, r, t), offsets from the cell center (z against the mid-height
+    of the full z extent), and coordinates relative to the range minimum corner."""
     out = np.empty((pts.shape[0], AUGMENTED_DIM))
     out[:, :5] = pts
-    out[:, 5] = pts[:, 0] - ccx
-    out[:, 6] = pts[:, 1] - ccy
-    out[:, 7] = pts[:, 2] - cfg.z_center
+    out[:, 5] = pts[:, 0] - (cfg.range.x_min + (ix + 0.5) * cfg.pillar_x)
+    out[:, 6] = pts[:, 1] - (cfg.range.y_min + (iy + 0.5) * cfg.pillar_y)
+    out[:, 7] = pts[:, 2] - 0.5 * (cfg.range.z_min + cfg.range.z_max)
     out[:, 8] = pts[:, 0] - cfg.range.x_min
     out[:, 9] = pts[:, 1] - cfg.range.y_min
     out[:, 10] = pts[:, 2] - cfg.range.z_min
     return out
+
+
+def augment_points(cloud: PointCloud, pillar: Pillar, cfg: GridConfig) -> np.ndarray:
+    """``augment`` of one pillar's points, shape (N_v, 11)."""
+    if pillar.point_indices.max(initial=-1) >= len(cloud) or pillar.point_indices.min(initial=0) < 0:
+        raise ValidationError("pillar indexes points outside the cloud")
+    return augment(cloud.data[pillar.point_indices], pillar.ix, pillar.iy, cfg)
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,6 @@ class BEVCanvas:
     """Dense pseudo-image (D, ny, nx)."""
 
     data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValidationError(f"canvas must be (D, ny, nx), got {self.data.shape}")
 
 
 def scatter(pillar_features, cfg: GridConfig, dim: int) -> BEVCanvas:
@@ -148,9 +139,8 @@ def scatter(pillar_features, cfg: GridConfig, dim: int) -> BEVCanvas:
     data = np.zeros((dim, cfg.ny, cfg.nx), dtype=np.float32)
     occupied = np.zeros((cfg.ny, cfg.nx), dtype=bool)
     for pillar, feat in pillar_features:
-        feat = np.asarray(feat)
-        if feat.shape != (dim,):
-            raise ValidationError(f"feature of shape {feat.shape} does not have width dim={dim}")
+        if np.shape(feat) != (dim,):
+            raise ValidationError(f"feature of shape {np.shape(feat)} does not have width dim={dim}")
         if occupied[pillar.iy, pillar.ix]:
             raise ValidationError(f"duplicate pillar cell (ix={pillar.ix}, iy={pillar.iy})")
         data[:, pillar.iy, pillar.ix] = feat

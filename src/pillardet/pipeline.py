@@ -1,6 +1,6 @@
-"""End-to-end orchestration: pillarize -> encode -> scatter -> backbone ->
-neck -> head -> decode -> rectify -> NMS, plus the fused/train equivalence
-probe and the target-to-head-output fixture bridge.
+"""End-to-end orchestration: crop -> group -> augment -> encode -> place in one
+grouped pass, then pool -> backbone -> neck -> head -> decode -> rectify -> NMS,
+plus the fused/train equivalence probe and the target-to-head-output fixture bridge.
 
 An injected head output replaces everything before decode, so the cloud is
 neither pillarized nor encoded; ``detect`` still reads and checks the cloud
@@ -30,7 +30,7 @@ from .head import (
 )
 from .losses import Targets
 from .nn import maxpool2
-from .pillars import Pillar, assign_pillars, augment_points, scatter
+from .pillars import GridConfig, augment, pillar_segments
 from .pointcloud import PointCloud, crop_to_range
 from .profiles import Profile
 
@@ -42,27 +42,31 @@ class StageTimes:
     head: float = 0.0
     post: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {"encode": self.encode, "backbone": self.backbone, "head": self.head, "post": self.post}
 
-
-def encode_pillars(cloud: PointCloud, params: PipelineParams, profile: Profile) -> list[tuple[Pillar, np.ndarray]]:
-    """crop -> assign -> augment -> encode: each pillar of the cropped cloud with its feature vector."""
+def encode_pillars(cloud: PointCloud, params: PipelineParams, profile: Profile) -> tuple[np.ndarray, ...]:
+    """crop -> group -> augment -> encode in one grouped pass: ``(ix, iy, counts, feats)``, one row per
+    pillar sorted by (iy, ix); the encoder runs once per stack of pillars with equal point counts."""
     cropped = crop_to_range(cloud, profile.grid.range)
-    return [
-        (p, encode_pillar(augment_points(cropped, p, profile.grid), params.encoder, keep_intermediates=False).f)
-        for p in assign_pillars(cropped, profile.grid)
-    ]
+    order, bounds, ix, iy = pillar_segments(cropped, profile.grid)
+    counts = np.diff(bounds)
+    aug = augment(cropped.data[order], np.repeat(ix, counts), np.repeat(iy, counts), profile.grid)
+    feats = np.empty((counts.size, params.encoder.dim))
+    for k in np.unique(counts).tolist():
+        same = np.flatnonzero(counts == k)
+        feats[same] = encode_pillar(aug[bounds[same, None] + np.arange(k)], params.encoder, keep_intermediates=False).f
+    return ix, iy, counts, feats
+
+
+def place_pillars(ix: np.ndarray, iy: np.ndarray, feats: np.ndarray, grid: GridConfig) -> np.ndarray:
+    """The float32 ``(D, ny, nx)`` canvas with each pillar's feature at its cell and zeros elsewhere."""
+    canvas = np.zeros((feats.shape[1], grid.ny, grid.nx), dtype=np.float32)
+    canvas[:, iy, ix] = feats.T
+    return canvas
 
 
 def network_forward(canvas_data: np.ndarray, params: PipelineParams, profile: Profile) -> HeadOutput:
-    """Dense path from the scattered canvas to head predictions."""
-    x = canvas_data
-    reduction = profile.canvas_reduction
-    while reduction > 1:
-        x = maxpool2(x)
-        reduction //= 2
-    return _dense_forward(x, params)
+    """Dense path from the placed canvas, max-pooled once (``Profile.canvas_reduction``), to head predictions."""
+    return _dense_forward(maxpool2(canvas_data), params)
 
 
 def _dense_forward(x: np.ndarray, params: PipelineParams) -> HeadOutput:
@@ -85,13 +89,13 @@ def run_detect(
 
     if inject_head is None:
         t0 = time.perf_counter()
-        features = encode_pillars(cloud, params, profile)
-        canvas = scatter(features, profile.grid, dim=profile.encoder_dim)
+        ix, iy, _, feats = encode_pillars(cloud, params, profile)
+        canvas = place_pillars(ix, iy, feats, profile.grid)
         t.encode = time.perf_counter() - t0
-        if not features:
+        if not len(feats):
             return []
         t0 = time.perf_counter()
-        head_out = network_forward(canvas.data, params, profile)
+        head_out = network_forward(canvas, params, profile)
         t.backbone = time.perf_counter() - t0
     else:
         want = (profile.n_classes, *head_map_hw(profile.grid, profile.out_stride))

@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pillardet.checkpoint import load_checkpoint
 from pillardet.cli import BOX_FIELDS, DETECTION_FIELDS, build_parser, main, read_boxes, read_detections, write_boxes
+from pillardet.encoder import encode_pillar
 from pillardet.geometry import Box3D, rotated_iou_bev
 from pillardet.head import HEAD_GROUPS, LOG_SIZE_BAND, save_head_output
 from pillardet.losses import render_gaussian_targets
-from pillardet.pillars import assign_pillars
+from pillardet.pillars import Pillar, assign_pillars, augment_points
 from pillardet.pipeline import head_output_from_targets
 from pillardet.pointcloud import PointCloud, crop_to_range, load_cloud, meta_path, save_cloud
 from pillardet.profiles import DESK
@@ -100,6 +102,21 @@ class TestEncode:
         cloud = crop_to_range(load_cloud(scene), DESK.grid.range)
         assert len(lines) - 1 == len(assign_pillars(cloud, DESK.grid))
         assert lines[0] == "ix,iy,count,feature_l2,feature_max"
+
+    def test_json_lines_rows_are_the_per_pillar_values_with_int_cells(self, scene, train_ckpt, tmp_path):
+        out = tmp_path / "feats.jsonl"
+        assert main(["encode", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--format", "json-lines", "--out", str(out)]) == 0
+        rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+        encoder = load_checkpoint(train_ckpt)[0].encoder
+        cloud = crop_to_range(load_cloud(scene), DESK.grid.range)
+        want = []
+        for p in assign_pillars(cloud, DESK.grid):
+            f = encode_pillar(augment_points(cloud, p, DESK.grid), encoder).f
+            want.append({"ix": p.ix, "iy": p.iy, "count": p.count,
+                         "feature_l2": float(np.linalg.norm(f)), "feature_max": float(f.max())})
+        assert rows == want
+        assert all(type(r[k]) is int for r in rows for k in ("ix", "iy", "count"))
 
     @pytest.mark.parametrize("fmt,text", [
         ("csv", "ix,iy,count,feature_l2,feature_max\n"),
@@ -444,6 +461,20 @@ class TestExtremeHeadOutput:
         assert not out.exists()
 
 
+def test_no_pillar_object_is_built_on_the_runtime_path(scene, train_ckpt, tmp_path, monkeypatch):
+    """detect, encode and train-step run the grouped array pass; ``Pillar`` is only the per-pillar view."""
+    def refuse(self):
+        raise AssertionError("a Pillar was built")
+
+    monkeypatch.setattr(Pillar, "__post_init__", refuse)
+    for argv in (
+        ["detect", "--cloud", str(scene), "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "d.csv")],
+        ["encode", "--cloud", str(scene), "--checkpoint", str(train_ckpt), "--out", str(tmp_path / "e.txt")],
+        ["train-step", "--cloud", str(scene), "--boxes", str(scene) + ".boxes.csv", "--checkpoint", str(train_ckpt)],
+    ):
+        assert main([argv[0], "--profile", "desk", *argv[1:]]) == 0
+
+
 class TestBench:
     def test_schema(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -659,7 +690,7 @@ class TestInputErrors:
         def refuse(*args, **kwargs):  # what numpy raises for a canvas that cannot be allocated
             raise MemoryError("Unable to allocate 458. GiB for an array with shape (1, 8, 124000, 124000)")
 
-        monkeypatch.setattr(pipeline, "scatter", refuse)
+        monkeypatch.setattr(pipeline, "place_pillars", refuse)
         capsys.readouterr()
         assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
                      "--out", str(tmp_path / "d.csv")]) == 1

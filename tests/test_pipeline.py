@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pillardet.nn as nn
 import pillardet.pipeline as pipeline
 from pillardet.backbone import BackboneConfig, backbone_forward, count_macs, neck_fuse
 from pillardet.checkpoint import fuse_params, new_params
+from pillardet.encoder import EncoderParams, encode_pillar, encoder_backward
 from pillardet.errors import ValidationError
 from pillardet.geometry import rotated_iou_bev
 from pillardet.head import (
@@ -26,14 +28,17 @@ from pillardet.head import (
 )
 from pillardet.losses import render_gaussian_targets
 from pillardet.nn import BNParams, batchnorm, conv2d, maxpool2, unit_forward, upsample_nearest2
+from pillardet.pillars import AUGMENTED_DIM, assign_pillars, augment_points, pillar_segments, scatter
 from pillardet.pipeline import (
     StageTimes,
+    encode_pillars,
     fusion_discrepancy,
     head_output_from_targets,
     network_forward,
+    place_pillars,
     run_detect,
 )
-from pillardet.pointcloud import PointCloud, SceneSpec, generate_scene
+from pillardet.pointcloud import PointCloud, SceneSpec, crop_to_range, generate_scene
 from pillardet.profiles import DESK, NUSCENES, WAYMO, load_profile
 
 
@@ -302,7 +307,7 @@ class TestDetectPipeline:
         def refuse(*args, **kwargs):
             raise AssertionError("front end ran on the injected-head path")
 
-        for name in ("crop_to_range", "assign_pillars", "augment_points", "encode_pillar", "scatter"):
+        for name in ("crop_to_range", "pillar_segments", "augment", "encode_pillar", "place_pillars"):
             monkeypatch.setattr(pipeline, name, refuse)
         dets = run_detect(cloud, params, DESK, inject_head=head)
         want = decode(head, DESK.grid, DESK.out_stride, k=DESK.max_detections, score_thresh=DESK.score_thresh)
@@ -444,6 +449,86 @@ class TestArrayPostProcessing:
         with pytest.raises(ValidationError, match=r"box has non-finite fields: \(inf, ") as excinfo:
             run_detect(PointCloud(np.zeros((0, 5))), params, NUSCENES, inject_head=HeadOutput(**fields))
         assert f"{float(fields['z'][0, row, col])!r}" in str(excinfo.value)
+
+
+def front_end_scene(profile, seed, n_objects, points_per_object, n_background):
+    """A seeded scene over the profile's range, with points outside it for the crop."""
+    r = profile.grid.range
+    spec = SceneSpec(range=r, n_objects=n_objects, points_per_object=points_per_object, n_background=n_background,
+                     length_range=(0.6, 2.4), width_range=(0.4, 1.4), height_range=(0.4, 1.2),
+                     n_classes=profile.n_classes)
+    cloud, _ = generate_scene(spec, seed)
+    outside = np.array([[r.x_max + 1.0, 0.0, 0.0, 0.5, 0.0], [0.0, r.y_min - 0.5, 0.0, 0.5, 0.0]])
+    return PointCloud(np.concatenate([cloud.data, outside]))
+
+
+FRONT_END_SCENES = {
+    "desk": lambda: (DESK, front_end_scene(DESK, 3, 3, 50, 200)),
+    "desk-crowded": lambda: (DESK, front_end_scene(DESK, 4, 6, 400, 2000)),
+    "desk-objects-only": lambda: (DESK, front_end_scene(DESK, 5, 4, 120, 0)),
+    "desk-empty": lambda: (DESK, PointCloud(np.zeros((0, 5)))),
+    "nuscenes": lambda: (NUSCENES, front_end_scene(NUSCENES, 6, 20, 200, 3000)),
+    "waymo": lambda: (WAYMO, front_end_scene(WAYMO, 7, 20, 200, 3000)),
+}
+
+
+class TestGroupedFrontEnd:
+    """``encode_pillars`` runs crop -> group -> augment -> encode as one grouped array pass and
+    ``place_pillars`` builds the canvas from its arrays; the per-pillar API (``assign_pillars``,
+    ``augment_points``, ``encode_pillar`` on one pillar, ``scatter``) is a view of the same steps
+    and must give the same bytes."""
+
+    @pytest.mark.parametrize("mode", ["random", "identity"])
+    @pytest.mark.parametrize("scene", sorted(FRONT_END_SCENES))
+    def test_grouped_pass_equals_the_per_pillar_api(self, scene, mode):
+        profile, cloud = FRONT_END_SCENES[scene]()
+        params = new_params(profile.arch(), mode=mode, seed=1)
+        ix, iy, counts, feats = encode_pillars(cloud, params, profile)
+        cropped = crop_to_range(cloud, profile.grid.range)
+        pillars = assign_pillars(cropped, profile.grid)
+        want = [encode_pillar(augment_points(cropped, p, profile.grid), params.encoder, keep_intermediates=False).f
+                for p in pillars]
+        assert ix.tolist() == [p.ix for p in pillars] and iy.tolist() == [p.iy for p in pillars]
+        assert counts.tolist() == [p.count for p in pillars]
+        assert feats.dtype == np.float64 and feats.shape == (len(pillars), params.encoder.dim)
+        assert feats.tobytes() == np.array(want).reshape(feats.shape).tobytes()
+        canvas = place_pillars(ix, iy, feats, profile.grid)
+        ref = scatter(zip(pillars, want), profile.grid, dim=profile.encoder_dim).data
+        assert canvas.dtype == ref.dtype == np.float32 and canvas.shape == ref.shape
+        assert canvas.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scene", ["desk-crowded", "nuscenes", "waymo"])
+    def test_scenes_hold_one_point_and_many_point_pillars(self, scene):
+        profile, cloud = FRONT_END_SCENES[scene]()
+        counts = np.diff(pillar_segments(crop_to_range(cloud, profile.grid.range), profile.grid)[1])
+        assert counts.min() == 1 and counts.max() >= 8 and np.unique(counts).size >= 6
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_a_stack_of_equal_count_pillars_gives_each_pillar_its_own_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        params = EncoderParams.random(rng, dim)
+        for k in (1, 2, 3, 4, 7, 19, 40):
+            stack = rng.normal(0.0, 2.0, (6, k, AUGMENTED_DIM))
+            got = encode_pillar(stack, params)
+            for i, aug in enumerate(stack):
+                one = encode_pillar(aug, params)
+                for name in ("f", "f_max", "f_att", "scores", "encoded", "z"):
+                    assert getattr(got, name)[i].tobytes() == getattr(one, name).tobytes(), (k, i, name)
+
+    @pytest.mark.parametrize("shape,message", [
+        ((3, 0, AUGMENTED_DIM), "cannot encode an empty pillar"),
+        ((0, AUGMENTED_DIM), "cannot encode an empty pillar"),
+        ((2, 3, 4, AUGMENTED_DIM), f"augmented points must be ([P,] N, {AUGMENTED_DIM}), got (2, 3, 4, 11)"),
+        ((3, 4, 10), f"augmented points must be ([P,] N, {AUGMENTED_DIM}), got (3, 4, 10)"),
+    ], ids=["empty-stack", "empty-pillar", "4-d", "wrong-width"])
+    def test_empty_and_wrongly_shaped_inputs_rejected_by_name(self, shape, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            encode_pillar(np.zeros(shape), EncoderParams.identity(8))
+
+    def test_gradients_take_one_pillar(self):
+        params = EncoderParams.identity(8)
+        with pytest.raises(ValidationError, match=re.escape("one pillar's (N, 11) points, got (2, 3, 11)")):
+            encoder_backward(np.ones((2, 3, AUGMENTED_DIM)), params, np.ones(8))
 
 
 class TestFusionProbe:
