@@ -10,6 +10,7 @@ box's (cx, cy, l, w, yaw) so losses can use exact piecewise gradients.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,13 @@ def normalize_yaw(yaw: float) -> float:
     y = (yaw + math.pi) % TWO_PI - math.pi
     # fmod can land exactly on pi for inputs like -pi - eps
     return -math.pi if y >= math.pi else y
+
+
+def normalize_yaws(yaws: np.ndarray) -> np.ndarray:
+    """``normalize_yaw`` of each element of a float64 array, bit for bit: numpy's float ``%``
+    is Python's (fmod, then the divisor's sign)."""
+    y = (yaws + math.pi) % TWO_PI - math.pi
+    return np.where(y >= math.pi, -math.pi, y)
 
 
 class _Box3DFields(NamedTuple):  # Box3D's fields; boxes are made through Box3D
@@ -58,6 +66,20 @@ class Box3D(_Box3DFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    @classmethod
+    def from_rows(cls, rows, class_ids) -> list[Box3D]:
+        """``[Box3D(*row, k) for row, k in zip(rows.tolist(), class_ids)]`` for an (n, 7) float
+        table, checked and its yaws normalized once, in numpy. The first row that fails raises
+        through ``Box3D(*row, k)``, so its error is the one that list would raise."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+        ok = np.isfinite(rows).all(axis=1) & (rows[:, 3:6] > 0.0).all(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            cls(*rows[i].tolist(), class_ids[i])  # raises
+        columns = rows.T.tolist()
+        columns[6] = normalize_yaws(rows[:, 6]).tolist()
+        return list(map(tuple.__new__, repeat(cls), zip(*columns, class_ids, strict=True)))
 
     def bev_area(self) -> float:
         return self.l * self.w
@@ -111,14 +133,16 @@ def _polygon_area(pts) -> float:
     The terms are summed in the order ``np.sum`` uses (sequential below 8 terms,
     pairwise at 8), so the area is bitwise that of the array formula.
     """
-    if len(pts) < 3:
+    n = len(pts)
+    if n < 3:
         return 0.0
-    terms = [p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])]
-    if len(terms) < 8:
+    if n < 8:
         total = 0.0
-        for t in terms:
-            total += t
-    elif len(terms) == 8:
+        for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+            total += px * qy - qx * py
+        return 0.5 * total
+    terms = [p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])]
+    if n == 8:
         t0, t1, t2, t3, t4, t5, t6, t7 = terms
         total = 0.0 + (((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)))
     else:  # rounding can leave more vertices than two convex quads make
@@ -134,34 +158,35 @@ def _clip_tracked(poly, clip, jacs=None):
     subject box parameters (cx, cy, l, w, yaw); intersection vertices get the
     exact chain-rule jacobian of the crossing point.
     """
-    n_clip = len(clip)
-    for e in range(n_clip):
-        ax, ay = clip[e]
-        bx, by = clip[(e + 1) % n_clip]
+    tracked = jacs is not None
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
         ex, ey = bx - ax, by - ay
-        sides = [ex * (y - ay) - ey * (x - ax) for x, y in poly]
         out = []
-        out_jacs = None if jacs is None else []
+        out_jacs = [] if tracked else None
         n = len(poly)
+        # vertex i with its side, carried on as the next vertex j = i + 1, wrapping to 0
+        p = poly[0]
+        sp = ex * (p[1] - ay) - ey * (p[0] - ax)
         for i in range(n):
-            sp = sides[i]
+            j = i + 1 if i + 1 < n else 0
+            q = poly[j]
+            sq = ex * (q[1] - ay) - ey * (q[0] - ax)
             if sp >= 0.0:
-                out.append(poly[i])
-                if jacs is not None:
+                out.append(p)
+                if tracked:
                     out_jacs.append(jacs[i])
-            sq = sides[(i + 1) % n]
             if (sp >= 0.0) != (sq >= 0.0):
-                p, q = poly[i], poly[(i + 1) % n]
                 denom = sp - sq
                 t = sp / denom
                 dx, dy = q[0] - p[0], q[1] - p[1]
                 out.append((p[0] + t * dx, p[1] + t * dy))
-                if jacs is not None:
-                    jp, jq = jacs[i], jacs[(i + 1) % n]
+                if tracked:
+                    jp, jq = jacs[i], jacs[j]
                     side_jp = ex * jp[1] - ey * jp[0]
                     side_jq = ex * jq[1] - ey * jq[0]
                     dt = (-sq * side_jp + sp * side_jq) / (denom * denom)
                     out_jacs.append(jp + t * (jq - jp) + np.outer((dx, dy), dt))
+            p, sp = q, sq
         if not out:
             return [], out_jacs
         poly, jacs = out, out_jacs
@@ -171,6 +196,8 @@ def _clip_tracked(poly, clip, jacs=None):
 def _check_boxes(a: Box3D, b: Box3D) -> tuple[float, float]:
     """The BEV areas of ``a`` and ``b``, each checked positive and finite."""
     areas = a.l * a.w, b.l * b.w
+    if 0.0 < areas[0] < math.inf and 0.0 < areas[1] < math.inf:
+        return areas
     for name, box, area in zip(("first", "second"), (a, b), areas):
         if area <= 0.0:
             raise ValidationError("degenerate zero-area box")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError, check_record
-from .geometry import Box3D, normalize_yaw, rotated_iou_bev
+from .geometry import Box3D, normalize_yaws, rotated_iou_bev
 from .nn import ConvParams, conv2d
 from .pillars import GridConfig
 
@@ -146,13 +146,9 @@ def decode_candidates(out: HeadOutput, grid: GridConfig, out_stride: int, k: int
     scores = hm.ravel()[flat]
     # a peak is >= each of its in-map 8 neighbours; an off-map neighbour never rules a cell out
     up, down, left, right = rows > 0, rows < h - 1, cols > 0, cols < w - 1
-    neighbours = (
-        (-w - 1, up & left), (-w, up), (-w + 1, up & right), (-1, left),
-        (1, right), (w - 1, down & left), (w, down), (w + 1, down & right),
-    )
-    peak = np.ones(len(flat), dtype=bool)
-    for step, inside in neighbours:
-        peak &= (scores >= hm.take(flat + step, mode="clip")) | ~inside
+    steps = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    inside = np.column_stack((up & left, up, up & right, left, right, down & left, down, down & right))
+    peak = ((scores[:, None] >= hm.take(flat[:, None] + steps, mode="clip")) | ~inside).all(axis=1)
     cls_idx, rows, cols, scores = cls_idx[peak], rows[peak], cols[peak], scores[peak]
     order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
     cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
@@ -164,15 +160,15 @@ def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thr
     """``decode_candidates`` as detections; each carries final_score = cls_score until
     rectification is applied."""
     c = decode_candidates(out, grid, out_stride, k, score_thresh)
-    columns = (c.boxes.tolist(), c.class_ids.tolist(), c.cls_scores.tolist(), c.iou_scores.tolist())
-    return [Detection(Box3D(*fields, cls), s, i, s) for fields, cls, s, i in zip(*columns)]
+    scores = c.cls_scores.tolist()
+    boxes = Box3D.from_rows(c.boxes, c.class_ids.tolist())
+    return list(map(Detection._make, zip(boxes, scores, c.iou_scores.tolist(), scores)))
 
 
 def decode_cells(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> list[Box3D]:
     """The world-frame boxes the regression channels of head cells (rows[i], cols[i])
     encode, each with class_ids[i]; log-sizes are clamped to ``LOG_SIZE_BAND``."""
-    boxes = _cell_boxes(out, grid, out_stride, rows, cols, class_ids)
-    return [Box3D(*fields, int(k)) for fields, k in zip(boxes.tolist(), class_ids)]
+    return Box3D.from_rows(_cell_boxes(out, grid, out_stride, rows, cols, class_ids), [int(k) for k in class_ids])
 
 
 def _cell_boxes(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> np.ndarray:
@@ -183,9 +179,9 @@ def _cell_boxes(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, 
     cy = grid.range.y_min + (rows + 0.5 + out.offset[1, rows, cols]) * (out_stride * grid.pillar_y)
     sizes = np.exp(np.clip(out.size[:, rows, cols], *LOG_SIZE_BAND))
     sin, cos = out.yaw[:, rows, cols].tolist()
-    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs. normalize_yaw
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs. normalize_yaws
     # is idempotent on atan2 outputs, so a Box3D built from a row keeps its yaw's bits
-    yaw = [normalize_yaw(math.atan2(s, c)) for s, c in zip(sin, cos)]
+    yaw = normalize_yaws(np.array([math.atan2(s, c) for s, c in zip(sin, cos)], dtype=np.float64))
     boxes = np.column_stack((cx, cy, out.z[0, rows, cols], *sizes, yaw))
     finite = np.isfinite(boxes).all(axis=1)
     if not finite.all():
@@ -311,10 +307,10 @@ def select_detections(cands: Candidates, alpha, iou_thresh, class_agnostic: bool
     second box of the IoU call that suppressed it.
     """
     classes, cls_scores, iou_scores = cands.class_ids.tolist(), cands.cls_scores.tolist(), cands.iou_scores.tolist()
-    boxes = [Box3D(*fields, k) for fields, k in zip(cands.boxes.tolist(), classes)]
+    boxes = Box3D.from_rows(cands.boxes, classes)
     final = _rectify(cls_scores, iou_scores, classes, alpha)
     keep = _greedy_nms(cands.boxes[:, _GEOM_COLUMNS], cands.class_ids, final, iou_thresh, class_agnostic, boxes)
-    return [Detection(boxes[i], cls_scores[i], iou_scores[i], final[i]) for i in keep]
+    return [Detection._make((boxes[i], cls_scores[i], iou_scores[i], final[i])) for i in keep]
 
 
 # keeps the classification map near zero on empty input

@@ -485,6 +485,22 @@ class TestBench:
         stages = [ln.split(",")[1] for ln in lines[1:]]
         assert stages == ["encode", "backbone", "head", "post"]
 
+    def test_no_timed_repeat_is_the_first_run(self, tmp_path, monkeypatch):
+        """The first ``run_detect`` of a process carries one-time costs, so bench runs it untimed."""
+        import pillardet.cli as cli
+
+        timed = []
+
+        def recording(*args, times=None, **kwargs):
+            timed.append(times is not None)
+            return run_detect(*args, times=times, **kwargs)
+
+        run_detect = cli.run_detect
+        monkeypatch.setattr(cli, "run_detect", recording)
+        assert main(["bench", "--profile", "desk", "--sizes", "200,300", "--repeats", "3",
+                     "--format", "csv", "--out", str(tmp_path / "bench.csv")]) == 0
+        assert timed == [False] + [True] * 6
+
 
 class TestTrainStep:
     def test_loss_breakdown(self, scene, tmp_path, capsys):
@@ -779,9 +795,9 @@ def test_bench_times_the_fused_network(monkeypatch):
     import pillardet.cli as cli
 
     modes = []
-    monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, times: modes.append(params.mode))
+    monkeypatch.setattr(cli, "run_detect", lambda cloud, params, profile, times=None: modes.append(params.mode))
     assert main(["bench", "--profile", "desk", "--sizes", "50", "--repeats", "2"]) == 0
-    assert modes == ["fused", "fused"]
+    assert modes == ["fused", "fused", "fused"]  # the untimed warm-up, then the two timed repeats
 
 
 def test_detect_runs_the_fused_network(scene, train_ckpt, tmp_path, monkeypatch):

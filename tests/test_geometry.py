@@ -209,3 +209,131 @@ def test_non_finite_iou_gradient_rejected_without_warnings():
     gt = Box3D(1.0, 0.0, 0.0, 1e100, 1e100, 1.0, 0.1)
     with pytest.raises(ValidationError, match=r"IoU gradient of Box3D\(.*l=1e\+100.* overflows"):
         iou_bev_with_grad(pred, gt)
+
+
+def _box_table(rng, n):
+    """Seeded (n, 7) rows whose yaws include the edges of normalize_yaw's range."""
+    rows = np.column_stack((rng.normal(0.0, 30.0, (n, 3)), rng.uniform(0.1, 5.0, (n, 3)), rng.uniform(-10.0, 10.0, n)))
+    edges = [math.pi, -math.pi, np.nextafter(-math.pi, -math.inf), np.nextafter(math.pi, math.inf), -0.0, 0.0,
+             1e6, -1e6, 3 * math.pi, -3 * math.pi, 5e-324]
+    rows[: len(edges), 6] = edges
+    return rows
+
+
+def _built_one_at_a_time(rows, class_ids):
+    try:
+        return [Box3D(*row, k) for row, k in zip(rows.tolist(), class_ids)]
+    except ValidationError as e:
+        return e
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_boxes_from_rows_equal_boxes_built_one_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    rows = _box_table(rng, 200)
+    class_ids = rng.integers(0, 10, len(rows)).tolist()
+    got, want = Box3D.from_rows(rows, class_ids), _built_one_at_a_time(rows, class_ids)
+    assert [type(b) for b in got] == [Box3D] * len(rows)
+    assert [(type(b.class_id), b.class_id) for b in got] == [(type(b.class_id), b.class_id) for b in want]
+    assert np.array([b[:7] for b in got]).tobytes() == np.array([b[:7] for b in want]).tobytes()
+    assert Box3D.from_rows(np.zeros((0, 7)), []) == []
+
+
+BAD_FIELDS = [(f, v) for f in range(7) for v in (math.nan, math.inf, -math.inf)]
+BAD_FIELDS += [(f, v) for f in (3, 4, 5) for v in (0.0, -0.0, -1.0)]  # l, w, h
+
+
+@pytest.mark.parametrize(("field", "value"), BAD_FIELDS)
+def test_boxes_from_rows_fail_with_the_first_bad_rows_error(field, value):
+    rows = _box_table(np.random.default_rng(3), 20)
+    rows[7, field] = value
+    rows[12, 3] = math.nan  # a later bad row, with another error
+    want = _built_one_at_a_time(rows, list(range(20)))
+    assert isinstance(want, ValidationError)
+    with pytest.raises(ValidationError) as excinfo:
+        Box3D.from_rows(rows, list(range(20)))
+    assert str(excinfo.value) == str(want)
+
+
+# The clip as it was before it carried the next vertex: the reference its vertices and
+# jacobians must match bit for bit.
+def _reference_clip(poly, clip, jacs=None):
+    n_clip = len(clip)
+    for e in range(n_clip):
+        ax, ay = clip[e]
+        bx, by = clip[(e + 1) % n_clip]
+        ex, ey = bx - ax, by - ay
+        sides = [ex * (y - ay) - ey * (x - ax) for x, y in poly]
+        out = []
+        out_jacs = None if jacs is None else []
+        n = len(poly)
+        for i in range(n):
+            sp = sides[i]
+            if sp >= 0.0:
+                out.append(poly[i])
+                if jacs is not None:
+                    out_jacs.append(jacs[i])
+            sq = sides[(i + 1) % n]
+            if (sp >= 0.0) != (sq >= 0.0):
+                p, q = poly[i], poly[(i + 1) % n]
+                denom = sp - sq
+                t = sp / denom
+                dx, dy = q[0] - p[0], q[1] - p[1]
+                out.append((p[0] + t * dx, p[1] + t * dy))
+                if jacs is not None:
+                    jp, jq = jacs[i], jacs[(i + 1) % n]
+                    side_jp = ex * jp[1] - ey * jp[0]
+                    side_jq = ex * jq[1] - ey * jq[0]
+                    dt = (-sq * side_jp + sp * side_jq) / (denom * denom)
+                    out_jacs.append(jp + t * (jq - jp) + np.outer((dx, dy), dt))
+        if not out:
+            return [], out_jacs
+        poly, jacs = out, out_jacs
+    return poly, jacs
+
+
+def _clip_cases():
+    rng = np.random.default_rng(22)
+    pairs = [(a, a) for a in (_box(rng) for _ in range(200))]
+    pairs += [_corner_to_corner(rng) for _ in range(200)]
+    # edge to edge, and axis-aligned boxes sharing edge lines
+    pairs += [(Box3D(0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0), Box3D(2.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0)),
+              (Box3D(0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0), Box3D(0.5, 0.25, 0.0, 1.0, 0.5, 1.0, 0.0)),
+              (Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0), Box3D(1.0, 1.0, 0.0, 2.0, 2.0, 1.0, math.pi / 2)),
+              (Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0), Box3D(5.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0))]
+    pairs += [(Box3D(*rng.integers(-3, 4, 2).astype(float), 0.0, *rng.integers(1, 5, 2).astype(float), 1.0,
+                     float(rng.integers(0, 4)) * math.pi / 2),
+               Box3D(*rng.integers(-3, 4, 2).astype(float), 0.0, *rng.integers(1, 5, 2).astype(float), 1.0, 0.0))
+              for _ in range(300)]
+    pairs += [(_box(rng), _box(rng)) for _ in range(1000)]
+    pairs += [(a, _jittered(rng, a)) for a in (_box(rng) for _ in range(1000))]
+    return pairs
+
+
+def _clip_bits(poly, jacs):
+    return np.array(poly, dtype=np.float64).tobytes(), None if jacs is None else np.array(jacs).tobytes()
+
+
+def test_clip_matches_the_reference_clip_bit_for_bit():
+    from pillardet.geometry import _clip_tracked, _corner_jacs, _corners
+
+    shapes = set()
+    for a, b in _clip_cases():
+        for jacs in (None, _corner_jacs(a)):
+            got = _clip_tracked(_corners(a), _corners(b), jacs)
+            want = _reference_clip(_corners(a), _corners(b), jacs)
+            assert _clip_bits(*got) == _clip_bits(*want)
+        shapes.add(len(got[0]))
+    assert {0, 4, 8} <= shapes
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_polygon_area_sums_in_np_sum_order(n):
+    from pillardet.geometry import _polygon_area
+
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        pts = [tuple(p) for p in rng.normal(0.0, 10.0, (n, 2)).tolist()]
+        a = np.array(pts)
+        b = np.roll(a, -1, axis=0)
+        assert float(_polygon_area(pts)).hex() == float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])).hex()

@@ -14,7 +14,7 @@ from pillardet.backbone import BackboneConfig, backbone_forward, count_macs, nec
 from pillardet.checkpoint import fuse_params, new_params
 from pillardet.encoder import EncoderParams, encode_pillar, encoder_backward
 from pillardet.errors import ValidationError
-from pillardet.geometry import rotated_iou_bev
+from pillardet.geometry import Box3D, rotated_iou_bev
 from pillardet.head import (
     HEAD_GROUPS,
     HEATMAP_CLAMP,
@@ -449,6 +449,25 @@ class TestArrayPostProcessing:
         with pytest.raises(ValidationError, match=r"box has non-finite fields: \(inf, ") as excinfo:
             run_detect(PointCloud(np.zeros((0, 5))), params, NUSCENES, inject_head=HeadOutput(**fields))
         assert f"{float(fields['z'][0, row, col])!r}" in str(excinfo.value)
+
+
+def test_no_box_is_built_one_at_a_time_on_the_post_path(monkeypatch):
+    """``run_detect`` makes its boxes in bulk with ``Box3D.from_rows``; ``Box3D.__new__``,
+    which checks one box, is only the per-box view."""
+    head = crowd_head(NUSCENES, 1000, 150)
+    params = new_params(NUSCENES.arch(), mode="identity")
+    built = []
+    check_one = Box3D.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return check_one(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Box3D, "__new__", counting)
+    dets = run_detect(PointCloud(np.zeros((0, 5))), params, NUSCENES, inject_head=head)
+    assert dets and built == []
+    Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)  # the counter sees a box checked one at a time
+    assert len(built) == 1
 
 
 def front_end_scene(profile, seed, n_objects, points_per_object, n_background):
