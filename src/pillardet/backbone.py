@@ -8,8 +8,8 @@ identical across stages. The neck fuses the stage-3 and stage-4 maps (the 8x
 and 16x levels of the source grid, given the canvas reduction applied before
 the stem) back to the 8x level.
 
-count_macs/count_params are analytic and echo every resolution assumption
-they were evaluated under.
+count_macs/count_params are analytic: count_macs echoes the resolutions it
+assumes, and count_params counts the units make_backbone builds.
 """
 
 from __future__ import annotations
@@ -201,18 +201,10 @@ def block_macs(channels, h, w):
     return 2 * 9 * channels * channels * h * w
 
 
-def block_params(channels):
-    """Fused parameter count of one block (two 3x3 convs with bias)."""
-    return 2 * (9 * channels * channels + channels)
-
-
 @dataclass(frozen=True)
 class MacReport:
-    """Analytic MAC counts; all assumptions are echoed in the fields."""
+    """Analytic MAC counts and the resolutions they were evaluated at."""
 
-    stage_blocks: tuple[int, int, int, int]
-    stage_channels: tuple[int, int, int, int]
-    in_channels: int
     input_hw: tuple[int, int]
     stage_hw: tuple[tuple[int, int], ...]
     per_block: tuple[int, int, int, int]
@@ -224,29 +216,22 @@ class MacReport:
 def count_macs(cfg: BackboneConfig) -> MacReport:
     """Exact integer MACs of all convs (stem, transitions, blocks)."""
     hw = cfg.stage_hw()
-    ch = cfg.stage_channels
-    per_block = tuple(block_macs(ch[i], *hw[i]) for i in range(N_STAGES))
-    stage_totals = tuple(cfg.stage_blocks[i] * per_block[i] for i in range(N_STAGES))
-    transitions = [9 * cfg.in_channels * ch[0] * hw[0][0] * hw[0][1]]
-    for i in range(1, N_STAGES):
-        transitions.append(9 * ch[i - 1] * ch[i] * hw[i][0] * hw[i][1])
-    total = sum(stage_totals) + sum(transitions)
+    per_block = tuple(block_macs(c, *stage) for c, stage in zip(cfg.stage_channels, hw))
+    stage_totals = tuple(n * m for n, m in zip(cfg.stage_blocks, per_block))
+    # the stem outputs at stage 1's resolution, and transition i at stage i's
+    units = make_backbone(cfg, lambda _name, c_in, c_out, _stride: 9 * c_in * c_out)
+    transitions = tuple(m * h * w for m, (h, w) in zip([units.stem, *units.transitions], hw))
     return MacReport(
-        stage_blocks=cfg.stage_blocks,
-        stage_channels=ch,
-        in_channels=cfg.in_channels,
         input_hw=cfg.input_hw,
         stage_hw=tuple(hw),
         per_block=per_block,
         stage_totals=stage_totals,
-        transition_macs=tuple(transitions),
-        total=total,
+        transition_macs=transitions,
+        total=sum(stage_totals) + sum(transitions),
     )
 
 
 def count_params(cfg: BackboneConfig) -> int:
-    """Fused (inference-mode) parameter count of the backbone."""
-    ch = cfg.stage_channels
-    transitions = 9 * cfg.in_channels * ch[0] + ch[0]
-    transitions += sum(9 * ch[i - 1] * ch[i] + ch[i] for i in range(1, N_STAGES))
-    return sum(cfg.stage_blocks[i] * block_params(ch[i]) for i in range(N_STAGES)) + transitions
+    """Fused (inference-mode) parameter count: a 3x3 conv with bias per unit ``make_backbone`` builds."""
+    units = make_backbone(cfg, lambda _name, c_in, c_out, _stride: 9 * c_in * c_out + c_out)
+    return sum(n for _, n in units.named_units())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,12 +110,7 @@ def backbone_config(arch: ArchConfig) -> BackboneConfig:
 
 
 def fuse_params(params: PipelineParams) -> PipelineParams:
-    return PipelineParams(
-        encoder=params.encoder,
-        backbone=fuse_backbone(params.backbone),
-        neck=params.neck,
-        head=params.head,
-    )
+    return replace(params, backbone=fuse_backbone(params.backbone))
 
 
 # --- named-tensor (de)serialization -------------------------------------------------

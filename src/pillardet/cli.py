@@ -16,6 +16,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .backbone import count_macs, count_params
+from .encoder import EncoderParams
 from .errors import InvariantViolation, PillarDetError, ValidationError
 from .geometry import Box3D, rotated_iou_bev
 from .head import Detection, decode_cells, load_head_output
@@ -163,10 +164,10 @@ def cmd_encode(args) -> int:
     profile = load_profile(args.profile)
     cloud = load_cloud(args.cloud)
     if args.checkpoint:
-        params = _load_params(args.checkpoint, profile)
+        encoder = _load_params(args.checkpoint, profile).encoder
     else:
-        params = ckpt.new_params(profile.arch(), mode="identity")
-    ix, iy, counts, feats = encode_pillars(cloud, params, profile)
+        encoder = EncoderParams.identity(profile.encoder_dim)
+    ix, iy, counts, feats = encode_pillars(cloud, encoder, profile.grid)
     # ints as Python ints, which json-lines can write; one norm per row, as an axis=1 norm sums in another order
     rows = [
         (x, y, n, float(np.linalg.norm(f)), float(f.max()))
@@ -253,7 +254,7 @@ def cmd_train_step(args) -> int:
     else:
         params = ckpt.new_params(profile.arch(), mode="random", seed=args.seed)
     targets = render_gaussian_targets(boxes, profile.grid, profile.out_stride, profile.n_classes)
-    ix, iy, _, feats = encode_pillars(cloud, params, profile)
+    ix, iy, _, feats = encode_pillars(cloud, params.encoder, profile.grid)
     out = network_forward(place_pillars(ix, iy, feats, profile.grid), params, profile)
 
     cls_loss, _ = focal_loss(out.heatmap, targets.heatmap)

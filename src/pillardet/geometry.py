@@ -81,9 +81,6 @@ class Box3D(_Box3DFields):
         columns[6] = normalize_yaws(rows[:, 6]).tolist()
         return list(map(tuple.__new__, repeat(cls), zip(*columns, class_ids, strict=True)))
 
-    def bev_area(self) -> float:
-        return self.l * self.w
-
 
 # Corner sign pattern, counter-clockwise in the box frame.
 _CORNER_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))

@@ -107,14 +107,11 @@ class Detection(NamedTuple):
 
 
 def head_map_hw(grid: GridConfig, out_stride: int) -> tuple[int, int]:
-    """Head map dims: the grid halved log2(out_stride) times (ceil per step)."""
+    """Head map dims: the grid halved log2(out_stride) times, rounding up each time, which is
+    one division by out_stride, rounded up."""
     if out_stride < 1 or out_stride & (out_stride - 1):
         raise ValidationError(f"out_stride must be a power of two, got {out_stride}")
-    h, w = grid.ny, grid.nx
-    while out_stride > 1:
-        h, w = (h + 1) // 2, (w + 1) // 2
-        out_stride //= 2
-    return h, w
+    return -(-grid.ny // out_stride), -(-grid.nx // out_stride)
 
 
 @dataclass(frozen=True)

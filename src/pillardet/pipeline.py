@@ -1,6 +1,7 @@
 """End-to-end orchestration: crop -> group -> augment -> encode -> place in one
-grouped pass, then pool -> backbone -> neck -> head -> decode -> rectify -> NMS,
-plus the fused/train equivalence probe and the target-to-head-output fixture bridge.
+grouped pass that reads only the encoder and the grid (so ``encode`` builds no network),
+then pool -> backbone -> neck -> head -> decode -> rectify -> NMS, plus the fused/train
+equivalence probe and the target-to-head-output fixture bridge.
 
 An injected head output replaces everything before decode, so the cloud is
 neither pillarized nor encoded; ``detect`` still reads and checks the cloud
@@ -16,7 +17,7 @@ import numpy as np
 
 from .backbone import backbone_forward, neck_fuse
 from .checkpoint import PipelineParams
-from .encoder import encode_pillar
+from .encoder import EncoderParams, encode_pillar
 from .errors import ValidationError
 from .head import (
     HEATMAP_CLAMP,
@@ -43,17 +44,17 @@ class StageTimes:
     post: float = 0.0
 
 
-def encode_pillars(cloud: PointCloud, params: PipelineParams, profile: Profile) -> tuple[np.ndarray, ...]:
+def encode_pillars(cloud: PointCloud, encoder: EncoderParams, grid: GridConfig) -> tuple[np.ndarray, ...]:
     """crop -> group -> augment -> encode in one grouped pass: ``(ix, iy, counts, feats)``, one row per
     pillar sorted by (iy, ix); the encoder runs once per stack of pillars with equal point counts."""
-    cropped = crop_to_range(cloud, profile.grid.range)
-    order, bounds, ix, iy = pillar_segments(cropped, profile.grid)
+    cropped = crop_to_range(cloud, grid.range)
+    order, bounds, ix, iy = pillar_segments(cropped, grid)
     counts = np.diff(bounds)
-    aug = augment(cropped.data[order], np.repeat(ix, counts), np.repeat(iy, counts), profile.grid)
-    feats = np.empty((counts.size, params.encoder.dim))
+    aug = augment(cropped.data[order], np.repeat(ix, counts), np.repeat(iy, counts), grid)
+    feats = np.empty((counts.size, encoder.dim))
     for k in np.unique(counts).tolist():
         same = np.flatnonzero(counts == k)
-        feats[same] = encode_pillar(aug[bounds[same, None] + np.arange(k)], params.encoder, keep_intermediates=False).f
+        feats[same] = encode_pillar(aug[bounds[same, None] + np.arange(k)], encoder, keep_intermediates=False).f
     return ix, iy, counts, feats
 
 
@@ -89,7 +90,7 @@ def run_detect(
 
     if inject_head is None:
         t0 = time.perf_counter()
-        ix, iy, _, feats = encode_pillars(cloud, params, profile)
+        ix, iy, _, feats = encode_pillars(cloud, params.encoder, profile.grid)
         canvas = place_pillars(ix, iy, feats, profile.grid)
         t.encode = time.perf_counter() - t0
         if not len(feats):

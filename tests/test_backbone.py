@@ -6,7 +6,6 @@ from pillardet.backbone import (
     BackboneConfig,
     backbone_forward,
     block_macs,
-    block_params,
     build_backbone,
     build_neck,
     count_macs,
@@ -135,9 +134,6 @@ class TestParamCounter:
         ref = count_params(flops_config((3, 4, 6, 3)))
         assert ours < ref
         assert abs(ours / ref - 0.5) / 0.5 < 0.05
-
-    def test_block_params_formula(self):
-        assert block_params(4) == 2 * (9 * 16 + 4)
 
     def test_counts_match_built_parameters(self):
         cfg = small_cfg((2, 1, 1, 1))

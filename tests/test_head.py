@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -442,7 +444,7 @@ def test_finite_head_output_decodes_to_in_band_boxes(out):
     lo, hi = (math.exp(v) for v in LOG_SIZE_BAND)
     for d in decode(out, GRID, STRIDE, k=100, score_thresh=0.0):
         assert all(lo * (1 - 1e-12) <= v <= hi * (1 + 1e-12) for v in (d.box.l, d.box.w, d.box.h))
-        assert d.box.bev_area() > 0.0
+        assert d.box.l * d.box.w > 0.0
 
 
 def scalar_decode_cell(out, grid, out_stride, row, col, class_id):
@@ -855,7 +857,7 @@ class TestDetectionRecords:
             "Detection(box=Box3D(cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0, h=1.5, yaw=0.2999999999999998, class_id=2), "
             "cls_score=0.75, iou_score=0.5, final_score=0.625)"
         )
-        assert det.class_id == 2 and det.box.bev_area() == 8.0
+        assert det.class_id == 2 and det.box.l * det.box.w == 8.0
         with pytest.raises(AttributeError):
             det.final_score = 1.0
 
@@ -870,3 +872,23 @@ class TestDetectionRecords:
         p.write_text("nope\n")
         with pytest.raises(ValidationError):
             read_detections(p)
+
+
+def _halved(side, stride):
+    """The head map side as the grid side halved log2(stride) times, rounding up each time."""
+    while stride > 1:
+        side, stride = (side + 1) // 2, stride // 2
+    return side
+
+
+def test_head_map_hw_is_the_rounded_up_halving_loop():
+    for stride in (1, 2, 4, 8, 16, 32, 64):
+        for side in range(1, 2049):
+            grid = SimpleNamespace(ny=side, nx=2049 - side)
+            assert head_map_hw(grid, stride) == (_halved(side, stride), _halved(2049 - side, stride))
+
+
+@pytest.mark.parametrize("stride", [0, -2, 3, 6, 12, 48])
+def test_head_map_hw_rejects_a_stride_that_is_not_a_power_of_two(stride):
+    with pytest.raises(ValidationError, match=re.escape(f"out_stride must be a power of two, got {stride}")):
+        head_map_hw(GRID, stride)

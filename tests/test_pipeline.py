@@ -502,7 +502,7 @@ class TestGroupedFrontEnd:
     def test_grouped_pass_equals_the_per_pillar_api(self, scene, mode):
         profile, cloud = FRONT_END_SCENES[scene]()
         params = new_params(profile.arch(), mode=mode, seed=1)
-        ix, iy, counts, feats = encode_pillars(cloud, params, profile)
+        ix, iy, counts, feats = encode_pillars(cloud, params.encoder, profile.grid)
         cropped = crop_to_range(cloud, profile.grid.range)
         pillars = assign_pillars(cropped, profile.grid)
         want = [encode_pillar(augment_points(cropped, p, profile.grid), params.encoder, keep_intermediates=False).f

@@ -3,12 +3,14 @@
 A public name (a module-level def, class or assignment not starting with ``_``)
 in a ``src/pillardet`` module must be read somewhere in ``src/pillardet``
 (``__init__.py`` excluded) or ``perfbench/`` other than where it is defined.
-A name that only tests reach is dead API: delete it with the tests that
+So must every public method and property of a public class, outside its own
+``def``. A name that only tests reach is dead API: delete it with the tests that
 exercise only it. A read is a name load, an ``import`` of the name or an
 attribute of that name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +40,15 @@ def _public_definitions(tree):
             yield node.target.id
 
 
+def _public_methods(tree):
+    """``(class name, def)`` for each public method and property of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item
+
+
 def _reads(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -58,6 +69,18 @@ def test_every_public_name_is_read_outside_the_tests():
     for path in [*_modules(), *sorted((ROOT / "perfbench").glob("*.py"))]:
         read.update(_reads(ast.parse(path.read_text())))
     unread = sorted(f"{module}:{name}" for name, module in defined.items() if name not in read | ALLOWED)
+    assert unread == []
+
+
+def test_every_public_method_is_read_outside_its_own_def():
+    trees = {path: ast.parse(path.read_text()) for path in [*_modules(), *sorted((ROOT / "perfbench").glob("*.py"))]}
+    read = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = sorted(
+        f"{path.name}:{cls}.{method.name}"
+        for path in _modules()
+        for cls, method in _public_methods(trees[path])
+        if read[method.name] == Counter(_reads(method))[method.name]
+    )
     assert unread == []
 
 
