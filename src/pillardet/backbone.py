@@ -8,13 +8,13 @@ identical across stages. The neck fuses the stage-3 and stage-4 maps (the 8x
 and 16x levels of the source grid, given the canvas reduction applied before
 the stem) back to the 8x level.
 
-count_macs/count_params are analytic: count_macs echoes the resolutions it
-assumes, and count_params counts the units make_backbone builds.
+count_macs/count_params are analytic and constant-time: count_macs echoes the resolutions it
+assumes, and count_params scales a one-block-per-stage make_backbone by each stage's blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,8 +218,8 @@ def count_macs(cfg: BackboneConfig) -> MacReport:
     hw = cfg.stage_hw()
     per_block = tuple(block_macs(c, *stage) for c, stage in zip(cfg.stage_channels, hw))
     stage_totals = tuple(n * m for n, m in zip(cfg.stage_blocks, per_block))
-    # the stem outputs at stage 1's resolution, and transition i at stage i's
-    units = make_backbone(cfg, lambda _name, c_in, c_out, _stride: 9 * c_in * c_out)
+    # stem and transitions only: the stem outputs at stage 1's resolution, transition i at stage i's
+    units = make_backbone(replace(cfg, stage_blocks=(0,) * N_STAGES), lambda _, c_in, c_out, _s: 9 * c_in * c_out)
     transitions = tuple(m * h * w for m, (h, w) in zip([units.stem, *units.transitions], hw))
     return MacReport(
         input_hw=cfg.input_hw,
@@ -232,6 +232,9 @@ def count_macs(cfg: BackboneConfig) -> MacReport:
 
 
 def count_params(cfg: BackboneConfig) -> int:
-    """Fused (inference-mode) parameter count: a 3x3 conv with bias per unit ``make_backbone`` builds."""
-    units = make_backbone(cfg, lambda _name, c_in, c_out, _stride: 9 * c_in * c_out + c_out)
-    return sum(n for _, n in units.named_units())
+    """Fused (inference-mode) parameter count: a 3x3 conv with bias per unit ``make_backbone`` builds.
+    It builds one block per stage and counts each stage's pair once per block."""
+    one_each = replace(cfg, stage_blocks=(1,) * N_STAGES)
+    units = make_backbone(one_each, lambda _, c_in, c_out, _s: 9 * c_in * c_out + c_out)
+    pairs = [p.a + p.b for (p,) in units.stages]
+    return units.stem + sum(units.transitions) + sum(n * m for n, m in zip(cfg.stage_blocks, pairs))

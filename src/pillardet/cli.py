@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: generate, pillarize, encode, fuse, flops, detect, bench,
-train-step. Exit codes: 0 success, 1 validation, file-system or out-of-memory
+train-step, init. Exit codes: 0 success, 1 validation, file-system or out-of-memory
 error, 2 internal invariant violation. All randomness is confined to explicit --seed flags.
 """
 
@@ -198,8 +198,6 @@ def cmd_flops(args) -> int:
     ratio_sets = args.ratios or [(0, 2, 2, 2), (2, 2, 2, 2), (4, 2, 2, 2), (6, 2, 2, 2), (3, 4, 6, 3), (6, 6, 3, 1)]
     rows = []
     for ratios in ratio_sets:
-        if len(ratios) != 4:
-            raise ValidationError(f"a ratio needs 4 entries, got {ratios}")
         cfg = flops_config(ratios, profile)
         mac = count_macs(cfg)
         par = count_params(cfg)

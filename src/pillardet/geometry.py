@@ -128,7 +128,7 @@ def _polygon_area(pts) -> float:
     """Shoelace area of (x, y) float pairs, positive for CCW order.
 
     The terms are summed in the order ``np.sum`` uses (sequential below 8 terms,
-    pairwise at 8), so the area is bitwise that of the array formula.
+    pairwise from 8), so the area is bitwise that of the array formula.
     """
     n = len(pts)
     if n < 3:
@@ -138,13 +138,7 @@ def _polygon_area(pts) -> float:
         for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
             total += px * qy - qx * py
         return 0.5 * total
-    terms = [p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])]
-    if n == 8:
-        t0, t1, t2, t3, t4, t5, t6, t7 = terms
-        total = 0.0 + (((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)))
-    else:  # rounding can leave more vertices than two convex quads make
-        total = float(np.sum(terms))
-    return 0.5 * total
+    return 0.5 * float(np.sum([p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])]))
 
 
 def _clip_tracked(poly, clip, jacs=None):

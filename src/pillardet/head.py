@@ -116,7 +116,8 @@ def head_map_hw(grid: GridConfig, out_stride: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Candidates:
-    """decode's peaks in rank order, as columns: descending score, ties by (row, col, class)."""
+    """decode's peaks in rank order, as columns: descending score, ties by (row, col, class).
+    ``boxes`` is unchecked until ``Box3D.from_rows`` builds boxes, rejecting its first non-finite row."""
 
     boxes: np.ndarray  # (n, 7) Box3D fields cx, cy, cz, l, w, h, yaw; the yaw already normalized
     class_ids: np.ndarray  # (n,) ints
@@ -150,7 +151,7 @@ def decode_candidates(out: HeadOutput, grid: GridConfig, out_stride: int, k: int
     order = np.lexsort((cls_idx, cols, rows, -scores))[:k]
     cls_idx, rows, cols, scores = cls_idx[order], rows[order], cols[order], scores[order]
     iou_scores = np.clip((out.iou[0, rows, cols] + 1.0) / 2.0, 0.0, 1.0)
-    return Candidates(_cell_boxes(out, grid, out_stride, rows, cols, cls_idx), cls_idx, scores, iou_scores)
+    return Candidates(_cell_boxes(out, grid, out_stride, rows, cols), cls_idx, scores, iou_scores)
 
 
 def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thresh: float) -> list[Detection]:
@@ -165,12 +166,12 @@ def decode(out: HeadOutput, grid: GridConfig, out_stride: int, k: int, score_thr
 def decode_cells(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> list[Box3D]:
     """The world-frame boxes the regression channels of head cells (rows[i], cols[i])
     encode, each with class_ids[i]; log-sizes are clamped to ``LOG_SIZE_BAND``."""
-    return Box3D.from_rows(_cell_boxes(out, grid, out_stride, rows, cols, class_ids), [int(k) for k in class_ids])
+    return Box3D.from_rows(_cell_boxes(out, grid, out_stride, rows, cols), [int(k) for k in class_ids])
 
 
-def _cell_boxes(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, class_ids) -> np.ndarray:
-    """``decode_cells``'s boxes as (n, 7) rows of Box3D fields. A row that is not finite
-    fails with Box3D's error for the first such cell."""
+def _cell_boxes(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols) -> np.ndarray:
+    """``decode_cells``'s boxes as (n, 7) rows of Box3D fields, unchecked: a huge offset can
+    overflow a centre, and ``Box3D.from_rows`` rejects such a row when the boxes are built."""
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     cx = grid.range.x_min + (cols + 0.5 + out.offset[0, rows, cols]) * (out_stride * grid.pillar_x)
     cy = grid.range.y_min + (rows + 0.5 + out.offset[1, rows, cols]) * (out_stride * grid.pillar_y)
@@ -179,13 +180,7 @@ def _cell_boxes(out: HeadOutput, grid: GridConfig, out_stride: int, rows, cols, 
     # math.atan2, not np.arctan2: the two differ in the last bit on some inputs. normalize_yaws
     # is idempotent on atan2 outputs, so a Box3D built from a row keeps its yaw's bits
     yaw = normalize_yaws(np.array([math.atan2(s, c) for s, c in zip(sin, cos)], dtype=np.float64))
-    boxes = np.column_stack((cx, cy, out.z[0, rows, cols], *sizes, yaw))
-    finite = np.isfinite(boxes).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        # raises, with the yaw as atan2 returned it
-        Box3D(*boxes[i, :6].tolist(), math.atan2(sin[i], cos[i]), int(class_ids[i]))
-    return boxes
+    return np.column_stack((cx, cy, out.z[0, rows, cols], *sizes, yaw))
 
 
 def _rectify(cls_scores, iou_scores, class_ids, alpha) -> list[float]:

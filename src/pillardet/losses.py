@@ -126,7 +126,6 @@ def render_gaussian_targets(
             raise ValidationError(f"box {i}: Gaussian radius is not finite for l={b.l:g} w={b.w:g}")
         radius = max(0, int(radius))
         draw_gaussian(heatmap[b.class_id], col, row, radius)
-        heatmap[b.class_id, row, col] = 1.0
         reg[0, row, col] = u - col - 0.5
         reg[1, row, col] = v - row - 0.5
         reg[2, row, col] = b.cz

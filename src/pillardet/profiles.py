@@ -68,7 +68,7 @@ class Profile:
 
     @property
     def out_stride(self) -> int:
-        # stem keeps resolution; stages 2-4 halve; plus the canvas reduction
+        # the head reads the neck at stage 3's resolution: two halvings past the canvas reduction
         return 4 * self.canvas_reduction
 
     def arch(self) -> ArchConfig:

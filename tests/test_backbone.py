@@ -127,6 +127,12 @@ class TestMacCounter:
         assert report.input_hw == (720, 720)
         assert report.stage_hw == ((720, 720), (360, 360), (180, 180), (90, 90))
 
+    def test_constant_time_in_the_block_count(self):
+        n = 10**15  # no backbone with this many units fits in memory
+        report = count_macs(flops_config((n, 0, 0, 0)))
+        assert report.transition_macs == count_macs(flops_config((0, 0, 0, 0))).transition_macs
+        assert report.total == n * report.per_block[0] + sum(report.transition_macs)
+
 
 class TestParamCounter:
     def test_reallocated_config_halves_params(self):
@@ -146,6 +152,11 @@ class TestParamCounter:
         for u in units:
             built += u.kernel.size + u.bias.size
         assert built == count_params(cfg)
+
+    def test_constant_time_in_the_block_count(self):
+        n, c = 10**15, 64  # no backbone with this many units fits in memory
+        per_block = 2 * (9 * c * c + c)  # two fused 3x3 convs with bias at stage 1's width
+        assert count_params(flops_config((n, 0, 0, 0))) == n * per_block + count_params(flops_config((0, 0, 0, 0)))
 
 
 class TestConfigValidation:

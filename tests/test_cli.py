@@ -244,6 +244,12 @@ class TestFlops:
         total = float(out.read_text().strip().splitlines()[1].split(",")[2])
         assert total > 0.0
 
+    def test_ratio_of_three_entries_names_stage_blocks(self, capsys):
+        assert main(["flops", "--ratios", "1,2,3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: stage_blocks must be 4 non-negative ints, got (1, 2, 3)"]
+
 
 class TestDetect:
     def test_empty_cloud(self, tmp_path, train_ckpt):
@@ -859,3 +865,18 @@ def test_readme_cli_block_parses():
     assert lines
     for ln in lines:
         build_parser().parse_args(shlex.split(ln)[1:])
+
+
+def test_every_subcommand_is_named_in_the_help_and_shown_in_the_readme():
+    """``--help`` prints the module docstring, which lists every subcommand; README's CLI block
+    has an example of each, and each example parses to the subcommand it names."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    listed = re.search(r"Subcommands: ([^.]+)\.", parser.description).group(1)
+    assert sorted(re.split(r",\s*", listed)) == sorted(sub.choices)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(ln.split("#", 1)[0])[1:] for ln in block.splitlines() if ln.startswith("pillardet ")]
+    assert sorted(argv[0] for argv in examples) == sorted(sub.choices)
+    for argv in examples:
+        assert build_parser().parse_args(argv).command == argv[0]

@@ -892,3 +892,20 @@ def test_head_map_hw_is_the_rounded_up_halving_loop():
 def test_head_map_hw_rejects_a_stride_that_is_not_a_power_of_two(stride):
     with pytest.raises(ValidationError, match=re.escape(f"out_stride must be a power of two, got {stride}")):
         head_map_hw(GRID, stride)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("sin, cos, yaw", [(0.6, 0.8, normalize_yaw(math.atan2(0.6, 0.8))), (0.0, -1.0, -math.pi)],
+                         ids=["heading", "heading-pi"])
+def test_decode_cells_names_the_first_non_finite_cell(sin, cos, yaw):
+    """``decode_cells`` fails with Box3D's message for the first non-finite cell in the order
+    given, with the normalized yaw the box would hold: a heading of exactly pi reads -pi."""
+    fields = empty_output()
+    fields["offset"][0, 2, 3] = 1.7e308
+    fields["offset"][0, 4, 1] = -1.7e308
+    fields["yaw"][:, 2, 3] = sin, cos
+    fields["z"][0, 2, 3] = 0.5
+    with pytest.raises(ValidationError) as excinfo:
+        decode_cells(HeadOutput(**fields), GRID, STRIDE, [0, 2, 4], [0, 3, 1], [0, 1, 0])
+    cy = GRID.range.y_min + (2 + 0.5 + 0.0) * (STRIDE * GRID.pillar_y)
+    assert str(excinfo.value) == f"box has non-finite fields: {(math.inf, cy, 0.5, 1.0, 1.0, 1.0, yaw)}"
