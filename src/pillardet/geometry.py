@@ -2,9 +2,9 @@
 
 Boxes are 7-DoF (center, size, heading). The BEV footprint is the rectangle
 of extent l (along heading) by w (across), rotated by yaw about the center.
-Overlap is computed exactly via convex polygon clipping; a variant also
-propagates jacobians of the intersection area with respect to the first
-box's (cx, cy, l, w, yaw) so losses can use exact piecewise gradients.
+Overlap is computed exactly via convex polygon clipping. ``rotated_iou_bev`` and ``iou_bev_with_grad``
+share one clip and one area rule (shoelace terms summed in vertex order), so a box pair has one IoU;
+the latter also propagates jacobians w.r.t. the first box's (cx, cy, l, w, yaw) for exact gradients.
 """
 
 from __future__ import annotations
@@ -125,20 +125,14 @@ def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
 
 
 def _polygon_area(pts) -> float:
-    """Shoelace area of (x, y) float pairs, positive for CCW order.
-
-    The terms are summed in the order ``np.sum`` uses (sequential below 8 terms,
-    pairwise from 8), so the area is bitwise that of the array formula.
-    """
-    n = len(pts)
-    if n < 3:
+    """Shoelace area of (x, y) float pairs, positive for CCW order. The one area rule: the
+    terms are summed in vertex order, as ``iou_bev_with_grad`` sums the area's gradient."""
+    if len(pts) < 3:
         return 0.0
-    if n < 8:
-        total = 0.0
-        for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
-            total += px * qy - qx * py
-        return 0.5 * total
-    return 0.5 * float(np.sum([p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])]))
+    total = 0.0
+    for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+        total += px * qy - qx * py
+    return 0.5 * total
 
 
 def _clip_tracked(poly, clip, jacs=None):
@@ -197,14 +191,22 @@ def _check_boxes(a: Box3D, b: Box3D) -> tuple[float, float]:
     return areas
 
 
-def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
-    """Exact BEV IoU of two oriented boxes via convex polygon intersection."""
+def _overlap(a: Box3D, b: Box3D, jacs=None):
+    """The BEV IoU of ``a`` and ``b``, clamped, with the terms it is made of: the intersection
+    area, the union, and the clipped polygon with its vertex jacobians when ``jacs`` are given."""
     area_a, area_b = _check_boxes(a, b)
-    inter = _polygon_area(_clip_tracked(_corners(a), _corners(b))[0])
+    poly, jacs = _clip_tracked(_corners(a), _corners(b), jacs)
+    inter = _polygon_area(poly)
     union = area_a + area_b - inter
     if not math.isfinite(union):  # also catches a non-finite intersection
         raise ValidationError(f"IoU of {a} and {b} overflows: intersection {inter!r}, union {union!r}")
-    return float(min(max(inter / union, 0.0), 1.0))
+    # clamped: rounding can put a box's IoU with itself above 1
+    return min(max(inter / union, 0.0), 1.0), inter, union, poly, jacs
+
+
+def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
+    """Exact BEV IoU of two oriented boxes via convex polygon intersection."""
+    return _overlap(a, b)[0]
 
 
 def _corner_jacs(box: Box3D) -> list[np.ndarray]:
@@ -234,30 +236,18 @@ def iou_bev_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:
     locally constant (almost everywhere); at configuration changes a one-sided
     value is returned.
     """
-    area_p, area_gt = _check_boxes(pred, gt)
-    poly, jacs = _clip_tracked(_corners(pred), _corners(gt), _corner_jacs(pred))
-    inter = 0.0
+    iou, inter, union, poly, jacs = _overlap(pred, gt, _corner_jacs(pred))
     d_inter = np.zeros(5)
     if len(poly) >= 3:
-        n = len(poly)
-        for i in range(n):
-            p, jp = poly[i], jacs[i]
-            q, jq = poly[(i + 1) % n], jacs[(i + 1) % n]
-            inter += p[0] * q[1] - q[0] * p[1]
+        for p, q, jp, jq in zip(poly, poly[1:] + poly[:1], jacs, jacs[1:] + jacs[:1]):
             d_inter += jp[0] * q[1] + p[0] * jq[1] - jq[0] * p[1] - q[0] * jp[1]
-        inter *= 0.5
         d_inter *= 0.5
     d_area_p = np.array([0.0, 0.0, pred.w, pred.l, 0.0])
-    union = area_p + area_gt - inter
-    iou = inter / union
     d_iou = (d_inter * union - inter * (d_area_p - d_inter)) / (union * union)
-    if not (math.isfinite(union) and np.isfinite(d_iou).all()):
-        raise ValidationError(
-            f"IoU gradient of {pred} against {gt} overflows: intersection {inter!r}, union {union!r}, "
-            f"gradient {d_iou.tolist()}"
-        )
-    # clamped as in rotated_iou_bev: rounding can put a box's IoU with itself above 1
-    return float(min(max(iou, 0.0), 1.0)), d_iou
+    if not np.isfinite(d_iou).all():
+        raise ValidationError(f"IoU gradient of {pred} against {gt} overflows: intersection {inter!r}, "
+                              f"union {union!r}, gradient {d_iou.tolist()}")
+    return iou, d_iou
 
 
 def diou_penalty_with_grad(pred: Box3D, gt: Box3D) -> tuple[float, np.ndarray]:

@@ -7,7 +7,8 @@ The quality target I at an object's centre cell is the BEV IoU
 (``rotated_iou_bev``) of the box the head decodes there with that object's
 ground-truth box, as in CIA-SSD and AFDetV2, and no gradient flows through it.
 It is the bird's-eye IoU, not the 3D one, because that is the overlap NMS
-ranks by and the Monte-Carlo oracle checks.
+ranks by and the Monte-Carlo oracle checks. The DIoU term reads the same IoU
+through ``iou_bev_with_grad``, bit for bit: both share one clip and one area rule.
 """
 
 from __future__ import annotations

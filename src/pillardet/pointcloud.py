@@ -23,7 +23,8 @@ RECORD_BYTES = RECORD_FIELDS * 4
 _DTYPE = np.dtype("<f4")
 # Largest |reflectance| and |timestamp| a point may carry: above any sensor's intensity
 # count (16 bits at most) and any sweep's time lag in microseconds. The `init --seed 1`
-# nets first overflow float32 at ~1e32 (nuscenes, waymo) and ~1e38 (desk).
+# nets first overflow float32 at ~1e32 (nuscenes, waymo) and ~1e38 (desk). A profile's
+# range bounds are held to it too, so it also limits every coordinate the crop keeps.
 FIELD_BOUND = 1e6
 
 

@@ -23,7 +23,7 @@ from .errors import ValidationError, check_record, read_json
 from .head import head_map_hw
 from .losses import LossWeights
 from .pillars import GridConfig
-from .pointcloud import Range3D
+from .pointcloud import FIELD_BOUND, Range3D
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,9 @@ class Profile:
     canvas_reduction = 2
 
     def __post_init__(self):
+        for key, value in vars(self.grid.range).items():  # a kept point's coordinates lie within the range
+            if abs(value) > FIELD_BOUND:
+                raise ValidationError(f"range bound {key} {value!r} lies outside +-{FIELD_BOUND:g}")
         self.arch()  # the network shape is checked when the profile is built
         # the canvas pool halves the grid exactly, and the neck upsamples the 16x map 2x onto the 8x map
         grid, head = (self.grid.ny, self.grid.nx), head_map_hw(self.grid, self.out_stride)

@@ -720,6 +720,31 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {profile}: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("z_min", [-1e300, -1e38])
+    @pytest.mark.parametrize("command", ["generate", "pillarize", "encode", "flops", "detect", "bench", "train-step",
+                                         "init"])
+    def test_range_past_the_field_bound_rejected_at_load_by_every_command(self, tmp_path, capsys, z_min, command):
+        # past the bound, detect and train-step would overflow in the head conv; the inputs named here
+        # do not exist, so the error can only come from the profile
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(dict(DESK_PROFILE_JSON, range=dict(DESK_PROFILE_JSON["range"], z_min=z_min))))
+        missing, out_file = str(tmp_path / "missing.bin"), tmp_path / "out"
+        io = {
+            "generate": ["--out", str(out_file)],
+            "pillarize": ["--cloud", missing],
+            "encode": ["--cloud", missing],
+            "flops": [],
+            "detect": ["--cloud", missing, "--checkpoint", missing, "--out", str(out_file)],
+            "bench": ["--sizes", "100", "--repeats", "1"],
+            "train-step": ["--cloud", missing, "--boxes", missing],
+            "init": ["--out", str(out_file)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--profile", str(profile), *io]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {profile}: range bound z_min {z_min!r} lies outside +-1e+06\n"
+        assert not out_file.exists()
+
     def test_grid_that_fits_int64_but_not_memory_is_out_of_memory(self, scene, train_ckpt, tmp_path, capsys):
         # 1.28e9 x 1.28e9 cells: int64 keys hold them, numpy refuses the canvas before it allocates
         profile = tmp_path / "profile.json"

@@ -19,7 +19,7 @@ from pillardet.errors import ValidationError
 from pillardet.geometry import Box3D, iou_bev_with_grad, normalize_yaw, rotated_iou_bev
 from pillardet.losses import diou_loss
 
-IOU_DIGEST = "2aeea82bf69ef13a0ed1ead580bd2bf2884a3174285353204f0a221e255027d4"
+IOU_DIGEST = "7c6608a9fdfbc02d78cd055f7bcfdd64c10b226c649879dc89de572bf53b70d2"
 GRAD_DIGEST = "42bae28e29d1f7552aff9842b26dc9a0aef59a28f540965e23ce1fc396dae312"
 
 
@@ -88,6 +88,12 @@ def test_iou_with_grad_bits_are_pinned():
         rows.append([iou, *grad])
     assert len(rows) == 2000
     assert digest(rows) == GRAD_DIGEST
+
+
+def test_both_ious_agree_bit_for_bit():
+    # one clip and one area rule serve both, so NMS, the quality target and the DIoU term read one IoU per pair
+    for a, b in iou_pairs():
+        assert iou_bev_with_grad(a, b)[0] == rotated_iou_bev(a, b)
 
 
 def test_iou_with_grad_stays_in_unit_interval():
@@ -201,6 +207,14 @@ def test_boxes_with_non_finite_union_rejected():
     b = Box3D(1.0, 0.0, 0.0, 1e154, 1e154, 1.0, 0.0)
     with pytest.raises(ValidationError, match=r"IoU of Box3D\(cx=0\.0, .*l=1e\+154.* overflows"):
         rotated_iou_bev(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_iou_with_grad_reports_a_non_finite_union_as_the_iou_does():
+    a = Box3D(0.0, 0.0, 0.0, 1e154, 1e154, 1.0, 0.0)
+    b = Box3D(1.0, 0.0, 0.0, 1e154, 1e154, 1.0, 0.0)
+    with pytest.raises(ValidationError, match=r"^IoU of Box3D\(cx=0\.0, .*l=1e\+154.* overflows"):
+        iou_bev_with_grad(a, b)
 
 
 @pytest.mark.filterwarnings("error")
@@ -328,12 +342,14 @@ def test_clip_matches_the_reference_clip_bit_for_bit():
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_polygon_area_sums_in_np_sum_order(n):
+def test_polygon_area_sums_in_vertex_order(n):
     from pillardet.geometry import _polygon_area
 
     rng = np.random.default_rng(n)
     for _ in range(300):
         pts = [tuple(p) for p in rng.normal(0.0, 10.0, (n, 2)).tolist()]
-        a = np.array(pts)
-        b = np.roll(a, -1, axis=0)
-        assert float(_polygon_area(pts)).hex() == float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])).hex()
+        total = 0.0
+        for i in range(n):
+            (px, py), (qx, qy) = pts[i], pts[(i + 1) % n]
+            total += px * qy - qx * py
+        assert float(_polygon_area(pts)).hex() == float(0.5 * total).hex()

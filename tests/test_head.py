@@ -377,7 +377,7 @@ box_strategy = st.builds(
 @settings(derandomize=True, database=None, deadline=None)
 @given(box_strategy, box_strategy)
 def test_iou_with_grad_matches_rotated_iou(a, b):
-    assert iou_bev_with_grad(a, b)[0] == pytest.approx(rotated_iou_bev(a, b), abs=1e-12)
+    assert iou_bev_with_grad(a, b)[0] == rotated_iou_bev(a, b)
 
 
 
