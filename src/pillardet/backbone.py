@@ -14,6 +14,7 @@ assumes, and count_params scales a one-block-per-stage make_backbone by each sta
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -140,18 +141,17 @@ def fuse_backbone(params: BackboneParams) -> BackboneParams:
     return params.map_units(lambda _name, u: fuse_rep_block(u) if isinstance(u, RepBlockParams) else u)
 
 
-def backbone_forward(x: np.ndarray, params: BackboneParams) -> list[np.ndarray]:
-    """Run all four stages; returns the per-stage outputs (the last two are
-    the neck taps)."""
+def backbone_forward(x: np.ndarray, params: BackboneParams) -> Iterator[np.ndarray]:
+    """Run all four stages, yielding each stage's output (the last two are the neck taps); each unit's
+    input is released once the unit has run, so a caller holds only the maps it keeps."""
     x = unit_forward(x, params.stem)
-    outs = []
     for i in range(N_STAGES):
         if i > 0:
             x = unit_forward(x, params.transitions[i - 1])
         for pair in params.stages[i]:
-            x = unit_forward(unit_forward(x, pair.a), pair.b)
-        outs.append(x)
-    return outs
+            x = unit_forward(x, pair.a)
+            x = unit_forward(x, pair.b)
+        yield x
 
 
 @dataclass(frozen=True)

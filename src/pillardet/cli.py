@@ -22,7 +22,7 @@ from .geometry import Box3D, rotated_iou_bev
 from .head import Detection, decode_cells, load_head_output
 from .losses import diou_loss, focal_loss, iou_branch_loss, reg_l1_loss, render_gaussian_targets, total_loss
 from .pillars import pillar_segments
-from .pipeline import StageTimes, encode_pillars, fusion_discrepancy, network_forward, place_pillars, run_detect
+from .pipeline import StageTimes, _dense_forward, encode_pillars, fusion_discrepancy, pool_pillars, run_detect
 from .pointcloud import SceneSpec, crop_to_range, generate_scene, load_cloud, save_cloud
 from .profiles import BUILTIN, flops_config, load_profile
 
@@ -253,7 +253,7 @@ def cmd_train_step(args) -> int:
         params = ckpt.new_params(profile.arch(), mode="random", seed=args.seed)
     targets = render_gaussian_targets(boxes, profile.grid, profile.out_stride, profile.n_classes)
     ix, iy, _, feats = encode_pillars(cloud, params.encoder, profile.grid)
-    out = network_forward(place_pillars(ix, iy, feats, profile.grid), params, profile)
+    out = _dense_forward(pool_pillars(ix, iy, feats, profile.grid), params)
 
     cls_loss, _ = focal_loss(out.heatmap, targets.heatmap)
     m = targets.mask
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-head", default=None, help="npz head-output fixture replacing the network")
     p.set_defaults(func=cmd_detect)
 
-    stages = ("per-stage wall-clock percentiles of detect: encode is crop to canvas, backbone is pool + backbone"
+    stages = ("per-stage wall-clock percentiles of detect: encode is crop to stage-1 grid, backbone is backbone"
               " + neck + head conv, head is decode, post is rectify + NMS")
     p = sub.add_parser("bench", help=stages, description=stages)
     common(p)

@@ -6,10 +6,10 @@ al. 2014): k*k strided plane copies of the padded input fill (c_in*k*k, rows)
 columns, and the kernel, reshaped to (c_out, c_in*k*k), multiplies them from
 the left, so the product is already (C, H, W) output. The columns are filled and
 multiplied one band of output rows at a time, each band at most
-COLUMN_BLOCK_BYTES or the kernel's own size if that is larger, so a conv needs
-its padded input, its output and one band rather than the whole
-(c_in*k*k, ho*wo) matrix. A 1x1 stride-1 conv multiplies its input directly,
-since that is already its column matrix.
+COLUMN_BLOCK_BYTES or the kernel's own size if that is larger. Only the input
+rows a band reads are copied, zero-padded, so a conv holds its input, its
+output, one column band and the padded rows that band reads. A 1x1 stride-1
+conv multiplies its input directly, since that is already its column matrix.
 
 A rep unit trains as Conv3x3-BN + Conv1x1-BN (+ Identity-BN when shapes
 allow), with the rectifier applied after the branch sum. Fusion folds each
@@ -157,18 +157,22 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if k == 1 and s == 1:
         np.matmul(kernel, x.reshape(ci, h * w), out=out)
     else:
-        if pad:
-            x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
         # each GEMM call repacks the whole kernel, so a band is never smaller than the kernel
         budget = max(COLUMN_BLOCK_BYTES, kernel.nbytes)
         rows = max(1, min(ho, budget // max(ci * k * k * wo * out.itemsize, 1)))
         buf = np.empty(ci * k * k * rows * wo, dtype=FLOAT)
+        # the padded input rows one band reads; its pad columns are never written, so stay zero
+        padded = np.zeros((ci, s * (rows - 1) + k, w + 2 * pad), dtype=FLOAT)
         for r0 in range(0, ho, rows):
             r1 = min(r0 + rows, ho)
+            top, n = s * r0 - pad, s * (r1 - r0 - 1) + k  # input row of padded row 0, rows read
+            lo, hi = max(top, 0) - top, min(top + n, h) - top
+            padded[:, :lo] = padded[:, hi:n] = 0
+            padded[:, lo:hi, pad : pad + w] = x[:, top + lo : top + hi]
             cols = buf[: ci * k * k * (r1 - r0) * wo].reshape(ci, k, k, r1 - r0, wo)
             for ky in range(k):
                 for kx in range(k):
-                    cols[:, ky, kx] = x[:, ky + s * r0 : ky + s * r1 : s, kx : kx + s * wo : s]
+                    cols[:, ky, kx] = padded[:, ky : ky + s * (r1 - r0) : s, kx : kx + s * wo : s]
             np.matmul(kernel, cols.reshape(ci * k * k, -1), out=out[:, r0 * wo : r1 * wo])
     out += p.bias[:, None]
     return out.reshape(p.out_channels, ho, wo)

@@ -1,7 +1,7 @@
-"""End-to-end orchestration: crop -> group -> augment -> encode -> place in one
-grouped pass that reads only the encoder and the grid (so ``encode`` builds no network),
-then pool -> backbone -> neck -> head -> decode -> rectify -> NMS, plus the fused/train
-equivalence probe and the target-to-head-output fixture bridge.
+"""End-to-end orchestration: crop -> group -> augment -> encode in one grouped pass that
+reads only the encoder and the grid (so ``encode`` builds no network), pooled straight into
+the stage-1 grid, then backbone -> neck -> head -> decode -> rectify -> NMS, plus the
+fused/train equivalence probe and the target-to-head-output fixture bridge.
 
 An injected head output replaces everything before decode, so the cloud is
 neither pillarized nor encoded; ``detect`` still reads and checks the cloud
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -58,11 +59,17 @@ def encode_pillars(cloud: PointCloud, encoder: EncoderParams, grid: GridConfig) 
     return ix, iy, counts, feats
 
 
-def place_pillars(ix: np.ndarray, iy: np.ndarray, feats: np.ndarray, grid: GridConfig) -> np.ndarray:
-    """The float32 ``(D, ny, nx)`` canvas with each pillar's feature at its cell and zeros elsewhere."""
-    canvas = np.zeros((feats.shape[1], grid.ny, grid.nx), dtype=np.float32)
-    canvas[:, iy, ix] = feats.T
-    return canvas
+def pool_pillars(ix: np.ndarray, iy: np.ndarray, feats: np.ndarray, grid: GridConfig) -> np.ndarray:
+    """The stage-1 grid: ``maxpool2`` of the float32 ``(D, ny, nx)`` canvas holding each pillar's feature at its
+    cell, built without that canvas. Zeros, then each parity's pillars max-ed in, in ``maxpool2``'s order; equal
+    bytes because every feature is >= +0.0 and no cell holds two pillars (``Profile`` checks the grid is even)."""
+    pooled = np.zeros((feats.shape[1], grid.ny // 2, grid.nx // 2), dtype=np.float32)
+    feats = feats.astype(np.float32)
+    for py, px in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        m = ((iy & 1) == py) & ((ix & 1) == px)
+        cells = (slice(None), iy[m] >> 1, ix[m] >> 1)
+        pooled[cells] = np.maximum(pooled[cells], feats[m].T)
+    return pooled
 
 
 def network_forward(canvas_data: np.ndarray, params: PipelineParams, profile: Profile) -> HeadOutput:
@@ -71,10 +78,11 @@ def network_forward(canvas_data: np.ndarray, params: PipelineParams, profile: Pr
 
 
 def _dense_forward(x: np.ndarray, params: PipelineParams) -> HeadOutput:
-    """backbone -> neck -> head on a canvas already pooled to stage-1 resolution."""
+    """backbone -> neck -> head on the stage-1 grid (the canvas pooled to stage-1 resolution)."""
     stages = backbone_forward(x, params.backbone)
-    fused = neck_fuse(stages[2], stages[3], params.neck)
-    return head_forward(fused, params.head)
+    del x  # the generator now holds the stage-1 grid, and drops it once the stem has read it
+    f8, f16 = islice(stages, 2, None)  # stages 1-2 are freed as they are passed over
+    return head_forward(neck_fuse(f8, f16, params.neck), params.head)
 
 
 def run_detect(
@@ -91,12 +99,13 @@ def run_detect(
     if inject_head is None:
         t0 = time.perf_counter()
         ix, iy, _, feats = encode_pillars(cloud, params.encoder, profile.grid)
-        canvas = place_pillars(ix, iy, feats, profile.grid)
+        stage1 = [pool_pillars(ix, iy, feats, profile.grid)]  # popped into the forward, which then holds it alone
         t.encode = time.perf_counter() - t0
         if not len(feats):
             return []
+        del ix, iy, feats  # the dense forward holds only live maps; these are read no more
         t0 = time.perf_counter()
-        head_out = network_forward(canvas, params, profile)
+        head_out = _dense_forward(stage1.pop(), params)
         t.backbone = time.perf_counter() - t0
     else:
         want = (profile.n_classes, *head_map_hw(profile.grid, profile.out_stride))

@@ -39,7 +39,7 @@ class TestForward:
         params = build_backbone(cfg, np.random.default_rng(2))
         assert params.stages[0] == []
         x = np.random.default_rng(3).normal(size=(4, 16, 16)).astype(np.float32)
-        outs = backbone_forward(x, params)
+        outs = list(backbone_forward(x, params))
         assert outs[0].shape == (4, 16, 16)
         assert outs[3].shape == (32, 2, 2)
 

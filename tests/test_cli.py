@@ -551,7 +551,7 @@ class TestTrainStep:
         """train-step's iou_branch on QUALITY_BOXES, with ``head`` as the network's output."""
         boxes = tmp_path / "quality.csv"
         write_boxes(self.QUALITY_BOXES, boxes)
-        monkeypatch.setattr("pillardet.cli.network_forward", lambda *args: head)
+        monkeypatch.setattr("pillardet.cli._dense_forward", lambda *args: head)
         capsys.readouterr()
         assert main(["train-step", "--profile", "desk", "--cloud", str(scene), "--boxes", str(boxes)]) == 0
         return json.loads(capsys.readouterr().out)["iou_branch"]
@@ -761,7 +761,7 @@ class TestInputErrors:
         def refuse(*args, **kwargs):  # what numpy raises for a canvas that cannot be allocated
             raise MemoryError("Unable to allocate 458. GiB for an array with shape (1, 8, 124000, 124000)")
 
-        monkeypatch.setattr(pipeline, "place_pillars", refuse)
+        monkeypatch.setattr(pipeline, "pool_pillars", refuse)
         capsys.readouterr()
         assert main(["detect", "--profile", "desk", "--cloud", str(scene), "--checkpoint", str(train_ckpt),
                      "--out", str(tmp_path / "d.csv")]) == 1

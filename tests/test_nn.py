@@ -43,6 +43,34 @@ def naive_conv2d(x, p):
     return out
 
 
+def padded_conv2d(x, p):
+    """The conv as it ran before the padding moved into its row bands: ``np.pad`` of the whole input, then the
+    same bands, column order, GEMMs and bias pass. ``conv2d`` must give its bytes."""
+    ci, h, w = x.shape
+    k, pad, s = p.ksize, p.padding, p.stride
+    ho = (h + 2 * pad - k) // s + 1
+    wo = (w + 2 * pad - k) // s + 1
+    kernel = p.kernel.reshape(p.out_channels, ci * k * k)
+    out = np.empty((p.out_channels, ho * wo), dtype=np.float32)
+    if k == 1 and s == 1:
+        np.matmul(kernel, x.reshape(ci, h * w), out=out)
+    else:
+        if pad:
+            x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        budget = max(nn.COLUMN_BLOCK_BYTES, kernel.nbytes)
+        rows = max(1, min(ho, budget // max(ci * k * k * wo * out.itemsize, 1)))
+        buf = np.empty(ci * k * k * rows * wo, dtype=np.float32)
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            cols = buf[: ci * k * k * (r1 - r0) * wo].reshape(ci, k, k, r1 - r0, wo)
+            for ky in range(k):
+                for kx in range(k):
+                    cols[:, ky, kx] = x[:, ky + s * r0 : ky + s * r1 : s, kx : kx + s * wo : s]
+            np.matmul(kernel, cols.reshape(ci * k * k, -1), out=out[:, r0 * wo : r1 * wo])
+    out += p.bias[:, None]
+    return out.reshape(p.out_channels, ho, wo)
+
+
 def rel_discrepancy(a, b):
     scale = max(float(np.max(np.abs(a))), 1e-6)
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))) / scale
@@ -117,7 +145,8 @@ class TestConv2d:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(64, 96, 96)).astype(np.float32)
         p = ConvParams(rng.normal(size=(64, 64, 3, 3)) / 24.0, np.zeros(64))
-        padded_bytes = 64 * 98 * 98 * 4
+        rows = nn.COLUMN_BLOCK_BYTES // (64 * 9 * 96 * 4)  # output rows per column band
+        padded_bytes = 64 * (rows + 2) * 98 * 4  # the input rows one band reads, zero-padded
         out_bytes = 64 * 96 * 96 * 4
         slack = 64 * 1024  # small arrays, views and the interpreter's own allocations
         was_tracing = tracemalloc.is_tracing()
@@ -132,6 +161,29 @@ class TestConv2d:
                 tracemalloc.stop()
         # the whole (576, 96*96) column matrix alone would take 21 MB
         assert peak <= padded_bytes + out_bytes + max(nn.COLUMN_BLOCK_BYTES, p.kernel.nbytes) + slack
+
+    @pytest.mark.parametrize("band", ["default", "one-row"])
+    @pytest.mark.parametrize("h,w", [(8, 6), (7, 9), (6, 7), (1, 5), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+    def test_band_padding_gives_the_whole_input_padding_bytes(self, monkeypatch, k, stride, h, w, band):
+        rng = np.random.default_rng(100 * h + w)
+        x = rng.normal(size=(3, h, w)).astype(np.float32)
+        x[rng.random(x.shape) < 0.25] = -0.0
+        p = ConvParams(rng.normal(size=(2, 3, k, k)) * 0.3, rng.normal(size=2) * 0.1, stride=stride)
+        if band == "one-row":  # a budget below one column row: one output row per band where wo > c_out
+            monkeypatch.setattr(nn, "COLUMN_BLOCK_BYTES", 1)
+        got, want = conv2d(x, p), padded_conv2d(x, p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_band_padding_at_the_kernel_sized_band_budget(self, stride):
+        rng = np.random.default_rng(15 + stride)
+        x = np.maximum(rng.normal(size=(512, 12, 12)), 0.0).astype(np.float32)
+        x[:, ::5, ::3] = -0.0
+        p = ConvParams(rng.normal(size=(512, 512, 3, 3)) / 68.0, rng.normal(size=512) * 0.1, stride=stride)
+        assert p.kernel.nbytes > nn.COLUMN_BLOCK_BYTES  # the kernel, not the budget, sets the band
+        got, want = conv2d(x, p), padded_conv2d(x, p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
     def test_output_is_a_fresh_contiguous_float32_tensor(self, k, stride):

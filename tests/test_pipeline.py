@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from pillardet.pipeline import (
     fusion_discrepancy,
     head_output_from_targets,
     network_forward,
-    place_pillars,
+    pool_pillars,
     run_detect,
 )
 from pillardet.pointcloud import PointCloud, SceneSpec, crop_to_range, generate_scene
@@ -307,7 +308,7 @@ class TestDetectPipeline:
         def refuse(*args, **kwargs):
             raise AssertionError("front end ran on the injected-head path")
 
-        for name in ("crop_to_range", "pillar_segments", "augment", "encode_pillar", "place_pillars"):
+        for name in ("crop_to_range", "pillar_segments", "augment", "encode_pillar", "pool_pillars"):
             monkeypatch.setattr(pipeline, name, refuse)
         dets = run_detect(cloud, params, DESK, inject_head=head)
         want = decode(head, DESK.grid, DESK.out_stride, k=DESK.max_detections, score_thresh=DESK.score_thresh)
@@ -470,6 +471,14 @@ def test_no_box_is_built_one_at_a_time_on_the_post_path(monkeypatch):
     assert len(built) == 1
 
 
+def place_pillars(ix, iy, feats, grid):
+    """The full-resolution float32 ``(D, ny, nx)`` canvas with each pillar's feature at its cell and zeros
+    elsewhere: the oracle of ``pool_pillars``, which must give ``maxpool2`` of it."""
+    canvas = np.zeros((feats.shape[1], grid.ny, grid.nx), dtype=np.float32)
+    canvas[:, iy, ix] = feats.T
+    return canvas
+
+
 def front_end_scene(profile, seed, n_objects, points_per_object, n_background):
     """A seeded scene over the profile's range, with points outside it for the crop."""
     r = profile.grid.range
@@ -493,9 +502,9 @@ FRONT_END_SCENES = {
 
 class TestGroupedFrontEnd:
     """``encode_pillars`` runs crop -> group -> augment -> encode as one grouped array pass and
-    ``place_pillars`` builds the canvas from its arrays; the per-pillar API (``assign_pillars``,
+    ``pool_pillars`` builds the stage-1 grid from its arrays; the per-pillar API (``assign_pillars``,
     ``augment_points``, ``encode_pillar`` on one pillar, ``scatter``) is a view of the same steps
-    and must give the same bytes."""
+    and must give the same bytes, and so must ``maxpool2`` of the full canvas (``place_pillars``)."""
 
     @pytest.mark.parametrize("mode", ["random", "identity"])
     @pytest.mark.parametrize("scene", sorted(FRONT_END_SCENES))
@@ -515,6 +524,44 @@ class TestGroupedFrontEnd:
         ref = scatter(zip(pillars, want), profile.grid, dim=profile.encoder_dim).data
         assert canvas.dtype == ref.dtype == np.float32 and canvas.shape == ref.shape
         assert canvas.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mode", ["random", "identity"])
+    @pytest.mark.parametrize("scene", sorted(FRONT_END_SCENES))
+    def test_pooled_pillars_are_the_pooled_canvas_byte_for_byte(self, scene, mode):
+        profile, cloud = FRONT_END_SCENES[scene]()
+        ix, iy, _, feats = encode_pillars(cloud, new_params(profile.arch(), mode=mode, seed=1).encoder, profile.grid)
+        got = pool_pillars(ix, iy, feats, profile.grid)
+        want = maxpool2(place_pillars(ix, iy, feats, profile.grid))
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_pooling_every_parity_with_zero_and_tied_features_is_the_pooled_canvas(self):
+        rng = np.random.default_rng(8)
+        grid = DESK.grid
+        iy, ix = (a.ravel() for a in np.indices((grid.ny, grid.nx)))
+        keep = rng.random(ix.size) < 0.7  # pooled cells holding one to four pillars of any parities
+        ix, iy = ix[keep], iy[keep]
+        feats = rng.choice([0.0, 0.5, 1.0, 2.0], size=(ix.size, 8)) * rng.integers(0, 2, (ix.size, 8))
+        got = pool_pillars(ix, iy, feats, grid)
+        assert got.tobytes() == maxpool2(place_pillars(ix, iy, feats, grid)).tobytes()
+
+    def test_encode_pillar_never_emits_negative_zero(self):
+        """``pool_pillars`` equals the pooled canvas because no feature is -0.0: a -0.0 pillar beside an empty
+        cell pools to -0.0 there and to +0.0 in ``maxpool2``. The rectifier ``np.maximum(y, 0.0)`` takes its
+        second operand on a +-0 tie, so a -0.0 pre-activation comes out +0.0."""
+        assert np.signbit(np.maximum(np.float64(+0.0), -0.0)) and not np.signbit(np.maximum(np.float64(-0.0), 0.0))
+        d = 4  # gamma -1 and beta -0.0: every pre-activation (0 - 0) * -1 + -0.0 is -0.0
+        norm = BNParams(gamma=-np.ones(d), beta=np.full(d, -0.0), mean=np.zeros(d), var=np.ones(d))
+        params = EncoderParams(weight=np.zeros((d, AUGMENTED_DIM)), bias=np.zeros(d), norm=norm,
+                               score_weight=np.zeros((d, d)), score_bias=np.zeros(d))
+        out = encode_pillar(np.random.default_rng(9).normal(size=(5, 3, AUGMENTED_DIM)), params)
+        assert np.signbit((out.z - norm.mean) * norm.scale + norm.beta).all()
+        for name in ("encoded", "f_max", "f_att", "f"):
+            assert not np.signbit(getattr(out, name)).any(), name
+        for profile, cloud in (FRONT_END_SCENES[scene]() for scene in ("desk", "nuscenes", "waymo")):
+            for mode in ("random", "identity"):
+                feats = encode_pillars(cloud, new_params(profile.arch(), mode=mode, seed=1).encoder, profile.grid)[3]
+                assert not np.signbit(feats).any(), (profile.name, mode)
 
     @pytest.mark.parametrize("scene", ["desk-crowded", "nuscenes", "waymo"])
     def test_scenes_hold_one_point_and_many_point_pillars(self, scene):
@@ -586,7 +633,7 @@ class TestDenseLayout:
             "maxpool2": lambda: maxpool2(x),
             "upsample_nearest2": lambda: upsample_nearest2(x),
             "unit_forward": lambda: unit_forward(x, train.backbone.stem),
-            "backbone_forward": lambda: backbone_forward(x, fused.backbone),
+            "backbone_forward": lambda: list(backbone_forward(x, fused.backbone)),
             "neck_fuse": lambda: neck_fuse(f8, f16, fused.neck),
             "head_forward": lambda: head_forward(np.zeros((1, DESK.neck_channels, 4, 4), dtype=np.float32), fused.head),
             "network_forward": lambda: network_forward(canvas, fused, DESK),
@@ -628,3 +675,30 @@ def test_analytic_macs_are_the_macs_that_run(monkeypatch, name):
     assert [macs[name] for name in ("stem", "t2", "t3", "t4")] == list(report.transition_macs)
     for i, total in enumerate(report.stage_totals):
         assert sum(m for name, m in macs.items() if name.startswith(f"s{i + 1}.")) == total
+
+
+def test_fused_forward_holds_only_live_maps():
+    """One fused network_forward on the wide-dense profile allocates little more than its largest conv needs:
+    a stage-1 unit's input and output, one column band and the padded input rows that band reads. A padded
+    copy of a whole input, a unit pair's input or an early stage output held past its last reader breaks it."""
+    profile = load_profile(str(Path(__file__).resolve().parents[1] / "perfbench/wide_dense_profile.json"))
+    params = fuse_params(new_params(profile.arch(), mode="random", seed=0))
+    canvas = np.maximum(np.random.default_rng(0).normal(size=(profile.encoder_dim, profile.grid.ny, profile.grid.nx)),
+                        0.0).astype(np.float32)
+    d, c = profile.encoder_dim, profile.stage_channels[0]
+    h, w = profile.grid.ny // profile.canvas_reduction, profile.grid.nx // profile.canvas_reduction
+    row_bytes = c * 9 * w * 4  # one output row's columns of a stage-1 3x3 conv
+    rows = min(h, max(nn.COLUMN_BLOCK_BYTES, c * c * 9 * 4) // row_bytes)
+    bound = (max(d, c) + c) * h * w * 4 + rows * row_bytes + c * (rows + 2) * (w + 2) * 4
+    network_forward(canvas, params, profile)  # warm-up: one-time allocations are not the forward's
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        network_forward(canvas, params, profile)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 1.25 * bound, (peak / 2**20, bound / 2**20)
