@@ -271,8 +271,10 @@ def load_tensors(manifest_path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def save_checkpoint(path, params: PipelineParams, arch: ArchConfig) -> None:
-    meta = {"mode": params.mode, "arch": arch.as_dict()}
-    save_tensors(path, params_to_tensors(params), meta)
+    """Write ``params`` under ``arch``; what ``load_checkpoint`` would reject raises before any file is written."""
+    tensors = {name: np.asarray(t, dtype=_DTYPE) for name, t in params_to_tensors(params).items()}
+    params_from_tensors(tensors, arch, params.mode)
+    save_tensors(path, tensors, {"mode": params.mode, "arch": arch.as_dict()})
 
 
 def load_checkpoint(path) -> tuple[PipelineParams, ArchConfig, str]:

@@ -13,10 +13,10 @@ conv multiplies its input directly, since that is already its column matrix.
 
 A rep unit trains as Conv3x3-BN + Conv1x1-BN (+ Identity-BN when shapes
 allow), with the rectifier applied after the branch sum. Fusion folds each
-BN into its branch and sums the branches straight into one 3x3 kernel: the
-1x1 kernel zero-padded over the whole 3x3, the identity (a folded unit
-matrix) on the centre tap, in the structural re-parameterization of RepVGG
-(Ding et al. 2021). Fused and train-time forwards agree up to float rounding.
+BN into its branch and sums the branches in float64 into one 3x3 kernel, rounded
+to float32 once: the 1x1 kernel zero-padded over the whole 3x3, the identity (a
+scaled unit matrix) on the centre tap, in the structural re-parameterization of
+RepVGG (Ding et al. 2021). Fused and train-time forwards agree up to float rounding.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ BN_EPS = 1e-5
 class BNParams:
     """Per-channel normalization: gamma, beta, running mean/var; divides by sqrt(var + BN_EPS).
 
-    Statistics are held in float64 so folding them into a conv stays exact
-    to the final float32 rounding.
+    Statistics are held in float64, and fusion folds them in float64, so the
+    only float32 rounding a fused kernel or bias takes is its final cast.
     """
 
     gamma: np.ndarray
@@ -208,16 +208,6 @@ def upsample_nearest2(x: np.ndarray) -> np.ndarray:
     return x.repeat(2, axis=1).repeat(2, axis=2)
 
 
-def bn_fold(conv: ConvParams, bn: BNParams) -> ConvParams:
-    """Absorb the BN into the conv: w' = w * scale, b' matching."""
-    if bn.channels != conv.out_channels:
-        raise ValidationError("bn channel count must match conv output channels")
-    scale = bn.scale
-    kernel = conv.kernel.astype(np.float64) * scale[:, None, None, None]
-    bias = bn.beta + (conv.bias.astype(np.float64) - bn.mean) * scale
-    return ConvParams(kernel, bias, stride=conv.stride)
-
-
 def has_identity(c_in: int, c_out: int, stride: int) -> bool:
     """The one rule for where a rep unit carries an identity branch."""
     return c_in == c_out and stride == 1
@@ -225,7 +215,7 @@ def has_identity(c_in: int, c_out: int, stride: int) -> bool:
 
 @dataclass(frozen=True)
 class RepBlockParams:
-    """Three-branch train-time unit: 3x3 + 1x1 (+ identity) each with BN."""
+    """Three-branch train-time unit: 3x3 + 1x1 (+ identity exactly where ``has_identity`` holds) each with BN."""
 
     conv3: ConvParams
     bn3: BNParams
@@ -245,11 +235,14 @@ class RepBlockParams:
             raise ValidationError("rep unit branches disagree on shape or stride")
         if self.bn3.channels != self.conv3.out_channels or self.bn1.channels != self.conv1.out_channels:
             raise ValidationError("rep unit BN widths must match branch outputs")
-        if self.bn_id is not None:
-            if not has_identity(self.in_channels, self.out_channels, self.stride):
-                raise ValidationError("identity branch requires c_in == c_out and stride 1")
-            if self.bn_id.channels != self.conv3.out_channels:
-                raise ValidationError("identity BN width must match the unit output")
+        if (self.bn_id is not None) != has_identity(self.in_channels, self.out_channels, self.stride):
+            raise ValidationError(
+                "identity branch requires c_in == c_out and stride 1"
+                if self.bn_id is not None
+                else "rep unit with c_in == c_out and stride 1 needs an identity branch"
+            )
+        if self.bn_id is not None and self.bn_id.channels != self.out_channels:
+            raise ValidationError("identity BN width must match the unit output")
 
     @property
     def in_channels(self) -> int:
@@ -274,19 +267,23 @@ def rep_forward(x: np.ndarray, b: RepBlockParams) -> np.ndarray:
 
 
 def fuse_rep_block(b: RepBlockParams) -> ConvParams:
-    """Collapse the three branches into one 3x3 conv (exact algebra).
+    """Collapse the three branches into one 3x3 conv, summed in float64 and rounded to float32 once.
 
+    A BN folds into its branch as kernel * scale with bias beta + (bias - mean) * scale.
     The folded 1x1 kernel is zero-padded and added over the whole 3x3, so its
     +0.0 border turns an off-centre -0.0 of the 3x3 branch into +0.0; the
-    identity branch, a folded 1x1 unit matrix, then adds on the centre tap only.
+    identity branch, a unit matrix times its scale, then adds on the centre tap only.
     """
-    f3, f1 = bn_fold(b.conv3, b.bn3), bn_fold(b.conv1, b.bn1)
-    kernel = f3.kernel + np.pad(f1.kernel.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)))
-    bias = f3.bias + f1.bias.astype(np.float64)
+
+    def folded_bias(bias, bn):
+        return bn.beta + (bias - bn.mean) * bn.scale
+
+    k1 = b.conv1.kernel * b.bn1.scale[:, None, None, None]
+    kernel = b.conv3.kernel * b.bn3.scale[:, None, None, None] + np.pad(k1, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    bias = folded_bias(b.conv3.bias, b.bn3) + folded_bias(b.conv1.bias, b.bn1)
     if b.bn_id is not None:
-        fid = bn_fold(ConvParams(np.eye(b.out_channels)[:, :, None, None], np.zeros(b.out_channels)), b.bn_id)
-        kernel[:, :, 1, 1] += fid.kernel[:, :, 0, 0]
-        bias += fid.bias
+        kernel[:, :, 1, 1] += np.eye(b.out_channels) * b.bn_id.scale[:, None]
+        bias += folded_bias(0.0, b.bn_id)
     return ConvParams(kernel, bias, stride=b.stride)
 
 
@@ -305,12 +302,8 @@ def unit_forward(x: np.ndarray, unit) -> np.ndarray:
     raise ValidationError(f"unknown unit type {type(unit).__name__}")
 
 
-def random_rep_block(
-    rng: np.random.Generator, c_in: int, c_out: int, stride: int = 1, with_identity: bool | None = None
-) -> RepBlockParams:
-    """Random unit with sane magnitudes; identity branch added where ``has_identity`` allows."""
-    if with_identity is None:
-        with_identity = has_identity(c_in, c_out, stride)
+def random_rep_block(rng: np.random.Generator, c_in: int, c_out: int, stride: int = 1) -> RepBlockParams:
+    """Random unit with sane magnitudes."""
     k3 = rng.normal(0.0, 1.0, (c_out, c_in, 3, 3)) / np.sqrt(9.0 * c_in)
     k1 = rng.normal(0.0, 1.0, (c_out, c_in, 1, 1)) / np.sqrt(c_in)
     return RepBlockParams(
@@ -318,7 +311,7 @@ def random_rep_block(
         bn3=BNParams.random(rng, c_out),
         conv1=ConvParams(k1, rng.normal(0.0, 0.1, c_out), stride=stride),
         bn1=BNParams.random(rng, c_out),
-        bn_id=BNParams.random(rng, c_out) if with_identity else None,
+        bn_id=BNParams.random(rng, c_out) if has_identity(c_in, c_out, stride) else None,
     )
 
 

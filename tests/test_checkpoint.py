@@ -23,7 +23,7 @@ from pillardet.errors import ValidationError
 from pillardet.head import HEAD_GROUPS
 from pillardet.nn import relu, unit_forward
 from pillardet.pillars import AUGMENTED_DIM
-from pillardet.profiles import DESK
+from pillardet.profiles import DESK, NUSCENES
 
 
 class TestContainer:
@@ -193,6 +193,13 @@ class TestArchShapes:
         save_tensors(p, params_to_tensors(new_params(wide, seed=11)), {"mode": "train", "arch": arch.as_dict()})
         with pytest.raises(ValidationError, match=r"'backbone\.stem\.conv3\.kernel' has shape \(16, 8, 3, 3\)"):
             load_checkpoint(p)
+
+    def test_save_refuses_params_of_another_arch(self, tmp_path):
+        # desk params under the nuscenes arch would save, then fail to load
+        p = tmp_path / "mixed.json"
+        with pytest.raises(ValidationError, match=r"'encoder\.weight' has shape \(8, 11\), expected \(64, 11\)"):
+            save_checkpoint(p, new_params(DESK.arch(), seed=15), NUSCENES.arch())
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_identity_branch_rejected(self, tmp_path):
         arch = DESK.arch()

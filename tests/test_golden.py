@@ -32,7 +32,7 @@ from pillardet.profiles import DESK
 GOLDEN = {
     "init-random.bin": "7c0a394532d4ddc1788da1543a12a1f01461810103310487c46fde834457f853",
     "init-identity.bin": "e26afbc0d50e919f53ddf57f161355376e07ee5ef28ad11c2bc99d0cafbd9e8b",
-    "fused.bin": "22feb60bc46466a9cb93a36a3347c8c5bc1728a4fdc6dad21b757caced7b52c0",
+    "fused.bin": "8f3ac367d392ab88672bcc772acd7f90054bfb7841999b9f4daab9178ab48bb3",
     "inject-head.csv": "ddc1d298068a0ca80754f86532adc257c5532b01d5c83942d4788d283e5f38b0",
     "pillarize.json": "9c4f8c3688ab7e71e3582bf2f4b0e7433ba669bc61741f7d70bfde2f6e6b65c2",
     "pillarize.json.pillars.csv": "e607aaf21e03b8d93425079ace486c6b99a32d5106add16b93caf27c47954ada",

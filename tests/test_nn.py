@@ -9,8 +9,6 @@ from pillardet.nn import (
     BNParams,
     ConvParams,
     RepBlockParams,
-    batchnorm,
-    bn_fold,
     conv2d,
     fuse_rep_block,
     fused_forward,
@@ -212,34 +210,6 @@ class TestConv2d:
             ConvParams(np.zeros((1, 1, 5, 5)), np.zeros(1))
 
 
-class TestBNFold:
-    def test_neutral_statistics_identity(self):
-        rng = np.random.default_rng(3)
-        conv = ConvParams(rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4))
-        folded = bn_fold(conv, BNParams.neutral(4))
-        np.testing.assert_array_equal(folded.kernel, conv.kernel)
-        np.testing.assert_array_equal(folded.bias, conv.bias)
-
-    def test_pure_scale(self):
-        rng = np.random.default_rng(4)
-        conv = ConvParams(rng.normal(size=(2, 2, 3, 3)), np.zeros(2))
-        neutral = BNParams.neutral(2)
-        bn = BNParams(gamma=2.0 * neutral.gamma, beta=np.zeros(2), mean=np.zeros(2),
-                      var=neutral.var)
-        folded = bn_fold(conv, bn)
-        np.testing.assert_array_equal(folded.kernel, conv.kernel * np.float32(2.0))
-
-    def test_equivalence_probe(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            conv = ConvParams(rng.normal(size=(3, 2, 3, 3)) * 0.5, rng.normal(size=3) * 0.1)
-            bn = BNParams(gamma=rng.uniform(0.5, 1.5, 3), beta=rng.normal(size=3),
-                          mean=rng.normal(size=3), var=rng.uniform(0.5, 1.5, 3))
-            x = rng.normal(size=(2, 6, 6)).astype(np.float32)
-            direct = batchnorm(conv2d(x, conv), bn)
-            assert np.max(np.abs(direct - conv2d(x, bn_fold(conv, bn)))) < 1e-5
-
-
 class TestFuseRepBlock:
     def test_zero_branches_neutral_identity_is_dirac(self):
         fused = fuse_rep_block(passthrough_rep_block(3, 3))
@@ -262,6 +232,20 @@ class TestFuseRepBlock:
         np.testing.assert_array_equal(fused.kernel, conv3.kernel)
         np.testing.assert_array_equal(fused.bias, conv3.bias)
 
+    def test_doubled_bn3_scale_doubles_conv3_exactly(self):
+        rng = np.random.default_rng(4)
+        conv3 = ConvParams(rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2))
+        neutral = BNParams.neutral(2)
+        block = RepBlockParams(
+            conv3=conv3,
+            bn3=BNParams(gamma=2.0 * neutral.gamma, beta=np.zeros(2), mean=np.zeros(2), var=neutral.var),
+            conv1=ConvParams(np.zeros((2, 3, 1, 1)), np.zeros(2)),
+            bn1=neutral,
+        )
+        fused = fuse_rep_block(block)
+        np.testing.assert_array_equal(fused.kernel, conv3.kernel * np.float32(2.0))
+        np.testing.assert_array_equal(fused.bias, conv3.bias * np.float32(2.0))
+
     @pytest.mark.parametrize("ci,co,stride", [(3, 3, 1), (2, 4, 1), (4, 4, 2), (3, 5, 2)])
     def test_fusion_equivalence(self, ci, co, stride):
         rng = np.random.default_rng(10 + ci * co + stride)
@@ -273,24 +257,27 @@ class TestFuseRepBlock:
             assert rel_discrepancy(train, fused) < 1e-5
 
     def test_bytes_equal_three_helper_fold(self):
-        """The fold is byte for byte the older one that padded the 1x1 branch to a
-        zero 3x3 kernel and folded a full Dirac 3x3 conv for the identity branch.
-        Zero and negative gammas and +/-0 kernel entries put -0.0 in the folded
-        branches, so adding the 1x1 branch on the centre tap alone fails here."""
+        """The fold is byte for byte a float64 fold of three separate branches, cast
+        to float32 once: the folded 1x1 kernel padded to a zero 3x3 kernel, and a
+        full Dirac 3x3 conv for the identity branch. Zero and negative gammas and
+        +/-0 kernel entries put -0.0 in the folded branches, so adding the 1x1
+        branch on the centre tap alone fails here."""
+
+        def fold(kernel, bias, bn):
+            scale = bn.scale
+            return kernel.astype(np.float64) * scale[:, None, None, None], bn.beta + (bias - bn.mean) * scale
 
         def three_helper_fold(b):
-            k1 = bn_fold(b.conv1, b.bn1)
-            padded = np.zeros((b.out_channels, b.in_channels, 3, 3), dtype=np.float32)
-            padded[:, :, 1, 1] = k1.kernel[:, :, 0, 0]
-            f3, f1 = bn_fold(b.conv3, b.bn3), ConvParams(padded, k1.bias, stride=k1.stride)
-            kernel = f3.kernel.astype(np.float64) + f1.kernel.astype(np.float64)
-            bias = f3.bias.astype(np.float64) + f1.bias.astype(np.float64)
+            k3, b3 = fold(b.conv3.kernel, b.conv3.bias, b.bn3)
+            k1, b1 = fold(b.conv1.kernel, b.conv1.bias, b.bn1)
+            padded = np.zeros((b.out_channels, b.in_channels, 3, 3))
+            padded[:, :, 1, 1] = k1[:, :, 0, 0]
+            kernel, bias = k3 + padded, b3 + b1
             if b.bn_id is not None:
-                dirac = np.zeros((b.out_channels, b.out_channels, 3, 3), dtype=np.float32)
+                dirac = np.zeros((b.out_channels, b.out_channels, 3, 3))
                 dirac[np.arange(b.out_channels), np.arange(b.out_channels), 1, 1] = 1.0
-                fid = bn_fold(ConvParams(dirac, np.zeros(b.out_channels)), b.bn_id)
-                kernel += fid.kernel.astype(np.float64)
-                bias += fid.bias.astype(np.float64)
+                kid, bid = fold(dirac, np.zeros(b.out_channels), b.bn_id)
+                kernel, bias = kernel + kid, bias + bid
             return ConvParams(kernel, bias, stride=b.stride)
 
         rng = np.random.default_rng(15)
@@ -308,7 +295,6 @@ class TestFuseRepBlock:
             ci, co, stride = rng.integers(1, 7), rng.integers(1, 7), rng.choice([1, 2])
             if rng.random() < 0.5:
                 co = ci
-            with_identity = bool(nn.has_identity(ci, co, stride) and rng.random() < 0.8)
             conv3, conv1 = (
                 ConvParams(signed_zeros(rng.normal(size=(co, ci, k, k))), signed_zeros(rng.normal(size=co)), stride)
                 for k in (3, 1)
@@ -318,7 +304,7 @@ class TestFuseRepBlock:
                 bn3=bn(co),
                 conv1=conv1,
                 bn1=bn(co),
-                bn_id=bn(co) if with_identity else None,
+                bn_id=bn(co) if nn.has_identity(ci, co, stride) else None,
             )
             got, want = fuse_rep_block(block), three_helper_fold(block)
             assert got.stride == want.stride
@@ -329,10 +315,16 @@ class TestFuseRepBlock:
 
     def test_identity_branch_shape_rules(self):
         rng = np.random.default_rng(11)
-        with pytest.raises(ValidationError):
-            random_rep_block(rng, 2, 4, 1, with_identity=True)
-        with pytest.raises(ValidationError):
-            random_rep_block(rng, 4, 4, 2, with_identity=True)
+
+        def unit(ci, co, stride, bn_id):
+            b = random_rep_block(rng, ci, co, stride)
+            return RepBlockParams(b.conv3, b.bn3, b.conv1, b.bn1, bn_id)
+
+        for ci, co, stride in ((2, 4, 1), (4, 4, 2)):
+            with pytest.raises(ValidationError, match="identity branch requires c_in == c_out and stride 1"):
+                unit(ci, co, stride, BNParams.random(rng, co))
+        with pytest.raises(ValidationError, match="needs an identity branch"):
+            unit(4, 4, 1, None)
 
 
 class TestPooling:

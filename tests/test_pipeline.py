@@ -249,6 +249,46 @@ class TestProfiles:
             with pytest.raises(ValidationError, match=key):
                 load_profile(str(p))
 
+    def test_profile_load_fuzz(self, tmp_path):
+        """Every slot of a desk profile (each key, list element and range bound) set to each of a list of
+        edge values, then seeded draws that set two or three slots at once: each profile loads or raises
+        ValidationError, never another exception."""
+        import copy
+        import json
+
+        values = [0, -1, 1e-300, -1e-300, 1e300, -1e300, 2**31, 2**62, 2**63, -(2**63), math.nan, math.inf,
+                  -math.inf, 3.4e38, 1e-45, True, None, [], {}, "x"]
+        slots, leaves = [], []  # leaves: the slots no other slot lies inside
+        for key, value in DESK_PROFILE_JSON.items():
+            parts = range(len(value)) if isinstance(value, list) else value if isinstance(value, dict) else ()
+            inner = [(key, part) for part in parts]
+            slots += [(key,), *inner]
+            leaves += inner or [(key,)]
+        rng = np.random.default_rng(33)
+        cases = [[(slot, v)] for slot in slots for v in values]
+        for _ in range(200):
+            picked = rng.choice(len(leaves), rng.integers(2, 4), replace=False)
+            cases.append([(leaves[i], values[rng.integers(len(values))]) for i in picked])
+        p = tmp_path / "profile.json"
+        faults, loaded = [], 0
+        for case in cases:
+            d = copy.deepcopy(DESK_PROFILE_JSON)
+            for (*path, last), v in case:
+                target = d
+                for key in path:
+                    target = target[key]
+                target[last] = copy.deepcopy(v)
+            p.write_text(json.dumps(d))
+            try:
+                load_profile(str(p))
+                loaded += 1
+            except ValidationError:
+                pass
+            except Exception as e:  # noqa: BLE001 - any other exception is the fault this test finds
+                faults.append(f"{case}: {type(e).__name__}: {e}")
+        assert not faults, faults[:5]
+        assert len(cases) == 940 and 0 < loaded < len(cases)
+
     def test_file_profiles_in_the_repo_load(self):
         from pathlib import Path
 
